@@ -4,7 +4,7 @@ number, exponential fits, detection-window sweeps, and utility time."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import curve_fit
@@ -300,8 +300,7 @@ def utility_time(times_s, fidelities, threshold: float) -> UtilityTime:
     t = np.asarray(times_s, dtype=float)
     f = _isotonic_non_increasing(np.asarray(fidelities, dtype=float))
     if f[0] <= threshold:
-        return UtilityTime(time_s=float(t[0]) if f[0] < threshold else float(t[0]),
-                           bounded=True)
+        return UtilityTime(time_s=float(t[0]), bounded=True)
     below = np.nonzero(f <= threshold)[0]
     if below.size == 0:
         return UtilityTime(time_s=float(t[-1]), bounded=False)

@@ -95,8 +95,12 @@ class NodeConfig:
     raw: dict  # the validated raw mapping, for hashing / round-trip
 
     def config_hash(self) -> str:
-        """sha256 of the canonical JSON form; stable under key reordering."""
-        canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
+        """sha256 of the canonical JSON form; stable under key reordering.
+
+        workers is left out: outputs are bit-identical for any worker count.
+        """
+        hashed = {k: v for k, v in self.raw.items() if k != "workers"}
+        canon = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -341,7 +345,17 @@ def load_config(path=None, overrides: dict | None = None) -> NodeConfig:
     else:
         with open(path) as f:
             text = f.read()
-    data = yaml.safe_load(text)
+    try:
+        data = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"malformed YAML: {exc}") from exc
+    if data is None:
+        raise ConfigError("config: file is empty")
+    if not isinstance(data, dict):
+        raise ConfigError(
+            f"config: expected a mapping at the top level, "
+            f"got {type(data).__name__}"
+        )
     if overrides:
         data = {**data, **overrides}
     return parse_config(data)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,14 @@ class Histogram:
     n_trials: int = 0
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        raw = np.asarray(self.counts)
+        integral = raw.dtype.kind in "iub" or (
+            raw.dtype.kind == "f" and np.isfinite(raw).all()
+            and (raw == np.rint(raw)).all()
+        )
+        if not integral:
+            raise ValueError("histogram counts must be integers")
+        counts = raw.astype(np.int64)
         if (counts < 0).any():
             raise ValueError("histogram counts must be non-negative")
         if self.bin_width_s <= 0:
@@ -69,6 +76,11 @@ class Histogram:
                 a, b = line.strip().split(",")
                 starts.append(float(a))
                 counts.append(int(b))
+        if len(starts) < 2:
+            raise ValueError(
+                f"{path}: need at least two bins to recover the bin width, "
+                f"found {len(starts)}"
+            )
         starts = np.asarray(starts) * 1e-9
         width = float(starts[1] - starts[0])
         return cls(width, np.asarray(counts), float(starts[0]),

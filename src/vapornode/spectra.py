@@ -12,7 +12,7 @@ detuning d_N = pairing_sum - d_T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

@@ -64,6 +64,25 @@ def test_config_hash_stable_under_key_order(tmp_path, raw):
     assert again.config_hash() == cfg.config_hash()
 
 
+@pytest.mark.parametrize("text", ["", "# comments only\n", "- 1\n- 2\n",
+                                  "just a string\n", "seed: [1, 2\n",
+                                  "a: b: c\n"])
+def test_empty_malformed_or_non_mapping_yaml_rejected(tmp_path, text):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="config|YAML"):
+        load_config(str(path))
+    with pytest.raises(ConfigError):
+        load_config(str(path), overrides={"seed": 3})
+
+
+def test_workers_not_in_hash():
+    one = load_config(overrides={"workers": 1})
+    two = load_config(overrides={"workers": 2})
+    assert two.workers == 2
+    assert one.config_hash() == two.config_hash()
+
+
 def test_overrides_change_hash():
     base = load_config()
     other = load_config(overrides={"seed": base.seed + 7})
@@ -88,6 +107,17 @@ def test_cli_config_errors(tmp_path, raw, capsys):
     assert cli.main(["solo", "--config", _write(tmp_path, data)]) == 2
     err = capsys.readouterr().err
     assert "extra_section" in err
+    # empty, non-mapping and malformed YAML, with and without overrides
+    for i, text in enumerate(["", "- 1\n- 2\n", "seed: [1, 2\n"]):
+        path = tmp_path / f"bad{i}.yaml"
+        path.write_text(text)
+        for extra in ([], ["--seed", "3"]):
+            rc = cli.main(["solo", "--trials", "1000", "--config", str(path),
+                           "--out", str(tmp_path / "out")] + extra)
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:")
+            assert "Traceback" not in err
 
 
 def test_cli_solo_run(tmp_path):
@@ -129,6 +159,9 @@ def test_cli_outputs_reproducible(tmp_path):
         b / "hist_memory.csv"
     ).read_bytes()
     assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
+    hashes = [json.loads((d / "manifest.json").read_text())["config_hash"]
+              for d in (a, b)]
+    assert hashes[0] == hashes[1] == load_config().config_hash()
 
 
 def test_cli_seed_override_changes_histograms(tmp_path):

@@ -1,7 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from vapornode import simulate
+from vapornode import experiments, simulate
 from vapornode.config import load_config
 from vapornode.histograms import Histogram
 
@@ -16,6 +19,12 @@ def test_histogram_invariants():
         Histogram(256e-12, np.array([1, -2]), 0.0)
     with pytest.raises(ValueError):
         Histogram(0.0, np.array([1, 2]), 0.0)
+    for fractional in ([1.7, 2.0], [np.nan, 2.0]):
+        with pytest.raises(ValueError, match="integers"):
+            Histogram(1e-9, np.array(fractional), 0.0)
+    integral = Histogram(1e-9, np.array([1.0, 2.0]), 0.0)
+    assert integral.counts.dtype == np.int64
+    assert integral.counts.tolist() == [1, 2]
     h = Histogram(1e-9, np.array([1, 2, 3]), -1e-9, 2.0, 10)
     assert h.total() == 6
     assert h.span_s == pytest.approx((-1e-9, 2e-9), rel=1e-12)
@@ -42,6 +51,10 @@ def test_histogram_csv_roundtrip(tmp_path, cfg):
     assert back.counts.tolist() == h.counts.tolist()
     assert back.bin_width_s == pytest.approx(h.bin_width_s, rel=1e-6)
     assert back.origin_s == pytest.approx(h.origin_s, abs=1e-13)
+    # one bin cannot give the bin width back
+    Histogram(1e-9, np.array([5]), 0.0).to_csv(path)
+    with pytest.raises(ValueError, match="two bins"):
+        Histogram.from_csv(path)
 
 
 def test_no_input_noiseless_is_empty(cfg):
@@ -69,6 +82,15 @@ def test_lossless_source_one_detection_per_trial(cfg):
     n = 30_000
     h = simulate.run_source(lossless, "memory", n)
     assert h.total() == n
+
+
+def test_link_budget_above_one_detects_every_trial(cfg):
+    bright = load_config(overrides={
+        "solo": {**cfg.raw["solo"], "mean_photon_number": 5.0}
+    })
+    assert simulate.build_spec(bright, "solo", "input").p_signal > 1.0
+    n = 30_000
+    assert simulate.run_solo(bright, "input", n).total() == n
 
 
 def test_trial_count_scaling(cfg):
@@ -125,10 +147,12 @@ def test_event_dump_format(tmp_path, cfg):
 
 
 def test_poisson_variance_over_seeds(cfg):
-    # total noise counts over independent seeds behave Poisson-like
+    # total noise counts over independent seeds behave Poisson-like; over
+    # 1000 seeds the ratio's standard deviation is about 0.045, so the
+    # bounds sit more than 6 sigma out
     totals = []
-    for seed in range(60):
-        c = load_config(overrides={"seed": seed})
+    for seed in range(1000):
+        c = dataclasses.replace(cfg, seed=seed)
         totals.append(simulate.run_solo(c, "no_input", 20_000).total())
     totals = np.asarray(totals, dtype=float)
     ratio = totals.var(ddof=1) / totals.mean()
@@ -140,6 +164,80 @@ def test_histogram_matches_event_binning(cfg):
     h = simulate.run_condition(spec, cfg.seed, 0, 80_000)
     idx, tags = simulate.run_events(spec, cfg.seed, 0, 80_000)
     assert h.total() == tags.size
+
+
+def test_signal_trials_distinct_within_block(cfg):
+    # at most one signal detection per trial, even at a high probability
+    spec = dataclasses.replace(simulate.build_spec(cfg, "solo", "memory"),
+                               p_signal=0.5, noise_lambda=0.0)
+    n = 2 * simulate.BLOCK_SIZE + 1000
+    idx, _ = simulate.run_events(spec, cfg.seed, 0, n)
+    assert np.unique(idx).size == idx.size
+    assert idx.min() >= 0 and idx.max() < n
+    # the frame holds the whole pulse, so the count is Binomial(n, 0.5)
+    assert abs(idx.size - 0.5 * n) < 5.0 * math.sqrt(0.25 * n)
+
+
+def test_triggered_duration_mean(cfg):
+    # a block of n triggers lasts Gamma(n, 1/rate): n exponential gaps
+    spec = dataclasses.replace(simulate.build_spec(cfg, "source", "no_input"),
+                               noise_lambda=0.0)
+    rate = cfg.source.telecom_rate_hz
+    n = 3 * simulate.BLOCK_SIZE + 123
+    durations = np.array([
+        simulate.run_condition(spec, seed, 2, n).duration_accumulated_s
+        for seed in range(200)
+    ])
+    sigma = math.sqrt(n) / rate
+    assert abs(durations.mean() - n / rate) < 5.0 * sigma / math.sqrt(200)
+    assert 0.7 < durations.std(ddof=1) / sigma < 1.3
+
+
+def _model_metrics(cfg, mode, n):
+    """Closed-form value and standard deviation of each NodeMetrics field.
+
+    The standard deviation propagates Poisson statistics of the model's
+    expected counts through each estimator, never the sample's.
+    """
+    a, mem = cfg.analysis, cfg.memory
+    rate = simulate.noise_rate_hz(cfg)  # noise counts per trial per second
+    p_sig = simulate.detected_signal_probability(cfg, mode)
+    nn = n * rate * a.noise_window_s
+
+    s = n * p_sig * simulate.window_capture(cfg, a.signal_window_s)
+    b = n * rate * a.signal_window_s
+    snr = (experiments.predicted_window_snr(cfg, mode),
+           (s + b) / b * math.sqrt(1.0 / (s + b) + 1.0 / nn))
+
+    # the full window is centred on the pulse; noise starts at the retrieval
+    full = 2.0 * a.full_signal_halfwidth_s
+    overlap = min(max(mem.retrieval_delay_s + a.full_signal_halfwidth_s, 0.0),
+                  full)
+    cap = simulate.window_capture(cfg, full)
+    eta = mem.eta0_internal if mode == "solo" else mem.eta0_source
+    s = n * p_sig * cap
+    b = n * rate * overlap
+    inp = n * simulate.passthrough_probability(cfg, mode)
+    var_net = s + b + (overlap / a.noise_window_s) ** 2 * nn
+    eff = (eta * cap, eta * cap * math.sqrt(var_net / s**2 + 1.0 / inp))
+
+    scale = a.signal_window_s / (cfg.timing.op_on_s - cfg.timing.retrieve_at_s)
+    lam = mem.noise_per_trial
+    floor = (lam * scale, math.sqrt(n * lam) / n * scale)
+    return {"snr": snr, "storage_efficiency": eff,
+            "noise_floor_per_trial": floor}
+
+
+@pytest.mark.parametrize("mode", ["solo", "source"])
+def test_metrics_within_5_sigma_of_model(cfg, mode):
+    n = 1_000_000
+    run = experiments.solo_metrics if mode == "solo" else experiments.source_metrics
+    for seed in range(10):
+        c = dataclasses.replace(cfg, seed=seed)
+        metrics, _ = run(c, n)
+        for name, (model, sigma) in _model_metrics(c, mode, n).items():
+            z = (getattr(metrics, name) - model) / sigma
+            assert abs(z) < 5.0, f"seed {seed} {name}: z = {z:.2f}"
 
 
 def test_window_capture_monotone(cfg):
