@@ -49,9 +49,14 @@ def peak_time(hist: Histogram) -> float:
 
 def centered_window(hist: Histogram, width_s: float, noise_start_s: float,
                     noise_width_s: float) -> WindowSpec:
-    """Signal window of the given width centered on the histogram peak bin."""
-    c = peak_time(hist)
-    return WindowSpec(c - width_s / 2.0, width_s, noise_start_s, noise_width_s)
+    """Signal window of the given width centered on the histogram peak bin.
+
+    A peak near the edge of the histogram (a nearly empty histogram peaks
+    anywhere) shifts the window just far enough to lie inside the span.
+    """
+    lo, hi = hist.span_s
+    start = min(max(peak_time(hist) - width_s / 2.0, lo), hi - width_s)
+    return WindowSpec(start, width_s, noise_start_s, noise_width_s)
 
 
 @dataclass

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import importlib.resources
 import json
-import math
 from dataclasses import dataclass
 
 import yaml
@@ -29,8 +28,6 @@ from .spectra import (
     MemoryAcceptanceModel,
     PathwaySpectrumModel,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 class ConfigError(ValueError):
@@ -59,7 +56,6 @@ class AnalysisParams:
     full_signal_halfwidth_s: float
     tomography_window_s: float
     sweep_windows_s: tuple
-    measured_filter_bandwidth_rad_s: float
 
     def __post_init__(self):
         for name in ("qst_transmission", "vv_fraction"):
@@ -85,7 +81,6 @@ class NodeConfig:
     source: SourceParams
     memory: MemoryParams
     solo: SoloParams
-    detector_telecom: DetectorParams
     detector_nir: DetectorParams
     timing: TimingConfig
     analysis: AnalysisParams
@@ -151,17 +146,6 @@ def _cavity(sec: _Section) -> CavitySpec:
     return cav
 
 
-def _detector(sec: _Section) -> DetectorParams:
-    det = DetectorParams(
-        efficiency=sec.get("efficiency", float),
-        jitter_s=sec.get("jitter_ps", float) * 1e-12,
-        label=sec.get("label", str),
-        jitter_convention=sec.get("jitter_convention", str),
-    )
-    sec.finish()
-    return det
-
-
 def _feature(entry, path) -> AbsorptionFeature:
     sec = _Section(entry, path)
     feat = AbsorptionFeature(
@@ -208,10 +192,6 @@ def parse_config(data: dict) -> NodeConfig:
             retrieval_delay_s=mem_sec.get("retrieval_delay_ns", float) * 1e-9,
             noise_per_trial=mem_sec.get("noise_per_trial", float),
             retrieved_pulse=pulse,
-            control_rabi_peak_rad_s=mem_sec.get("control_rabi_peak_mhz_2pi", float)
-            * 1e6
-            * TWO_PI,
-            interface_transmission=mem_sec.get("interface_transmission", float),
             filter_transmission=mem_sec.get("filter_transmission", float),
         )
         mem_sec.finish()
@@ -224,15 +204,18 @@ def parse_config(data: dict) -> NodeConfig:
         solo_sec.finish()
 
         det_sec = root.section("detectors")
-        det_telecom = _detector(det_sec.section("telecom"))
-        det_nir = _detector(det_sec.section("nir"))
+        nir_sec = det_sec.section("nir")
+        det_nir = DetectorParams(
+            efficiency=nir_sec.get("efficiency", float),
+            jitter_s=nir_sec.get("jitter_ps", float) * 1e-12,
+            jitter_convention=nir_sec.get("jitter_convention", str),
+        )
+        nir_sec.finish()
         det_sec.finish()
 
         t_sec = root.section("timing")
         timing = TimingConfig(
             op_off_s=t_sec.get("op_off_ns", float) * 1e-9,
-            write_pulse_len_s=t_sec.get("write_pulse_len_ns", float) * 1e-9,
-            write_fall_s=t_sec.get("write_fall_ns", float) * 1e-9,
             retrieve_at_s=t_sec.get("retrieve_at_ns", float) * 1e-9,
             op_on_s=t_sec.get("op_on_ns", float) * 1e-9,
             clock_period_s=t_sec.get("clock_period_us", float) * 1e-6,
@@ -254,11 +237,6 @@ def parse_config(data: dict) -> NodeConfig:
             sweep_windows_s=tuple(
                 w * 1e-9 for w in a_sec.get("sweep_windows_ns", list)
             ),
-            measured_filter_bandwidth_rad_s=a_sec.get(
-                "measured_filter_bandwidth_mhz_2pi", float
-            )
-            * 1e6
-            * TWO_PI,
         )
         a_sec.finish()
 
@@ -323,7 +301,6 @@ def parse_config(data: dict) -> NodeConfig:
         source=source,
         memory=memory,
         solo=solo,
-        detector_telecom=det_telecom,
         detector_nir=det_nir,
         timing=timing,
         analysis=analysis,

@@ -14,7 +14,7 @@ import numpy as np
 from . import analysis, simulate, tomography
 from .config import NodeConfig
 from .histograms import Histogram
-from .states import fidelity_from_snr
+from .states import fidelity_from_snr, snr_from_fidelity
 
 # fidelity thresholds of interest for the utility-time figure of merit:
 # distillation with two-copy purification, and any entanglement at all
@@ -90,8 +90,8 @@ def _metrics(config: NodeConfig, mode: str, runs: ConditionRuns,
     )
 
     # flat background per trial, referred to the signal window width
-    span = config.timing.op_on_s - config.timing.retrieve_at_s
-    floor = runs.no_input.total() / n_trials * (a.signal_window_s / span)
+    floor = (runs.no_input.total() / n_trials
+             * (a.signal_window_s / config.timing.control_on_s))
 
     metrics = NodeMetrics(
         mode=mode,
@@ -216,9 +216,8 @@ def storage_time_scan(
             mem, 2.0 * a.full_signal_halfwidth_s,
             a.noise_window_start_s + d, a.noise_window_s,
         )
-        span = config.timing.op_on_s - config.timing.retrieve_at_s
         region = (config.timing.retrieve_at_s + d,
-                  config.timing.retrieve_at_s + d + span)
+                  config.timing.retrieve_at_s + d + config.timing.control_on_s)
         effs.append(analysis.internal_storage_efficiency(
             mem, inp, full, noise_region_s=region
         ))
@@ -280,8 +279,7 @@ def model_utility_time(config: NodeConfig,
         raise ValueError(f"threshold must be in (0.25, 1), got {threshold}")
     if snr0 is None:
         snr0 = predicted_window_snr(config, "source")
-    # invert F = 1 - 3 / (2 (snr + 2))
-    snr_at = 1.5 / (1.0 - threshold) - 2.0
-    if snr_at <= 0 or snr0 <= snr_at:
-        return 0.0 if snr0 <= snr_at else math.inf
+    snr_at = snr_from_fidelity(threshold)
+    if snr0 <= snr_at:
+        return 0.0
     return config.memory.tau_coherence_s * math.log(snr0 / snr_at)

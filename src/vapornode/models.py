@@ -1,5 +1,6 @@
-"""Parametric models of source, memory, detectors, and trigger timing,
-plus the closed-form performance predictors built from them."""
+"""Parametric models of source, memory, detectors, and trigger timing, plus
+the solo-to-source SNR scaling.  The link budget, window capture and noise
+rate built from these parameters live in `simulate`, next to the sampler."""
 
 from __future__ import annotations
 
@@ -58,14 +59,11 @@ class MemoryParams:
     retrieval_delay_s: float
     noise_per_trial: float  # noise probability per trial over the control-on span
     retrieved_pulse: PulseMixture
-    control_rabi_peak_rad_s: float
-    interface_transmission: float
     filter_transmission: float
 
     def __post_init__(self):
         _check_fraction("eta0_internal", self.eta0_internal)
         _check_fraction("source_efficiency_ratio", self.source_efficiency_ratio)
-        _check_fraction("interface_transmission", self.interface_transmission)
         _check_fraction("filter_transmission", self.filter_transmission)
         if self.tau_coherence_s <= 0:
             raise ValueError("tau_coherence must be > 0")
@@ -75,8 +73,6 @@ class MemoryParams:
             )
         if self.retrieval_delay_s < 0:
             raise ValueError("retrieval_delay must be >= 0")
-        if self.control_rabi_peak_rad_s <= 0:
-            raise ValueError("control_rabi_peak must be > 0")
 
     @property
     def eta0_source(self) -> float:
@@ -87,15 +83,12 @@ class MemoryParams:
 class DetectorParams:
     efficiency: float
     jitter_s: float  # quoted timing jitter
-    label: str = "SPAD"
     jitter_convention: str = "fwhm"  # quoted value is FWHM (default) or sigma
 
     def __post_init__(self):
         _check_fraction("efficiency", self.efficiency)
         if self.jitter_s < 0:
             raise ValueError("jitter must be >= 0")
-        if self.label not in ("SNSPD", "SPAD"):
-            raise ValueError(f"detector label must be SNSPD or SPAD, got {self.label}")
         if self.jitter_convention not in ("fwhm", "sigma"):
             raise ValueError("jitter_convention must be 'fwhm' or 'sigma'")
 
@@ -109,8 +102,6 @@ class DetectorParams:
 @dataclass(frozen=True)
 class TimingConfig:
     op_off_s: float
-    write_pulse_len_s: float
-    write_fall_s: float
     retrieve_at_s: float
     op_on_s: float
     clock_period_s: float
@@ -125,13 +116,10 @@ class TimingConfig:
         if self.tag_resolution_s <= 0 or self.bin_width_s <= 0:
             raise ValueError("tag_resolution and bin_width must be > 0")
 
-
-def storage_efficiency_at(mem: MemoryParams, t_s: float) -> float:
-    """Internal storage efficiency after an extra storage time t beyond the
-    first retrieval: eta0 * exp(-t / tau)."""
-    if t_s < 0:
-        raise ValueError(f"storage time must be >= 0, got {t_s}")
-    return mem.eta0_internal * math.exp(-t_s / mem.tau_coherence_s)
+    @property
+    def control_on_s(self) -> float:
+        """Duration of the control-on span [retrieve_at, op_on)."""
+        return self.op_on_s - self.retrieve_at_s
 
 
 def predict_source_snr(snr_n1: float, eta: float, efficiency_ratio: float = 1.0) -> float:
@@ -141,43 +129,3 @@ def predict_source_snr(snr_n1: float, eta: float, efficiency_ratio: float = 1.0)
     if snr_n1 <= 0 or eta <= 0 or efficiency_ratio <= 0:
         raise ValueError("all factors must be positive")
     return snr_n1 * eta * efficiency_ratio
-
-
-def memory_bandwidth_from_control(
-    mem: MemoryParams,
-    reference_rabi_rad_s: float,
-    reference_bandwidth_hz: float,
-    exponent: float = 2.0,
-) -> float:
-    """Memory acceptance bandwidth scaling with control-field strength:
-    B = B_ref * (Omega_c / Omega_ref)^exponent (quadratic by default,
-    i.e. linear in control power)."""
-    if reference_rabi_rad_s <= 0 or reference_bandwidth_hz <= 0:
-        raise ValueError("reference values must be positive")
-    ratio = mem.control_rabi_peak_rad_s / reference_rabi_rad_s
-    return reference_bandwidth_hz * ratio**exponent
-
-
-def end_to_end_detection_probability(
-    src: SourceParams,
-    mem: MemoryParams,
-    det: DetectorParams,
-    qst_transmission: float,
-    window_capture: float,
-    extra_storage_s: float = 0.0,
-) -> float:
-    """Probability per trigger of detecting the retrieved photon inside the
-    detection window: eta * eta_storage * T_filter * T_qst * eta_det * capture."""
-    _check_fraction("qst_transmission", qst_transmission)
-    _check_fraction("window_capture", window_capture, allow_zero=True)
-    eta_storage = (
-        storage_efficiency_at(mem, extra_storage_s) * mem.source_efficiency_ratio
-    )
-    return (
-        src.heralding_eta
-        * eta_storage
-        * mem.filter_transmission
-        * qst_transmission
-        * det.efficiency
-        * window_capture
-    )

@@ -62,6 +62,11 @@ class RunSpec:
         )
 
 
+def _delay_key(extra_storage_s: float) -> int:
+    """Integer stream key of a storage delay, in picoseconds mod 2**40."""
+    return int(round(extra_storage_s * 1e12)) % (2**40)
+
+
 def _block_rng(seed: int, condition_id: int, block_index: int) -> np.random.Generator:
     bitgen = np.random.Philox(key=(seed & (2**64 - 1), condition_id))
     return np.random.Generator(bitgen.jumped(block_index))
@@ -187,6 +192,17 @@ def window_capture(config: NodeConfig, window_s: float) -> float:
     return cap
 
 
+def _link_budget(config: NodeConfig, amp: float, eta: float) -> float:
+    """Detection chain amp * eta * T_filter * T_qst * eta_det."""
+    return (
+        amp
+        * eta
+        * config.memory.filter_transmission
+        * config.analysis.qst_transmission
+        * config.detector_nir.efficiency
+    )
+
+
 def detected_signal_probability(config: NodeConfig, mode: str,
                                 extra_storage_s: float = 0.0) -> float:
     """Full-pulse detection probability per trial for the memory condition."""
@@ -200,13 +216,7 @@ def detected_signal_probability(config: NodeConfig, mode: str,
     else:
         raise ValueError(f"unknown mode {mode!r}")
     eta *= math.exp(-extra_storage_s / mem.tau_coherence_s)
-    return (
-        amp
-        * eta
-        * mem.filter_transmission
-        * config.analysis.qst_transmission
-        * config.detector_nir.efficiency
-    )
+    return _link_budget(config, amp, eta)
 
 
 def passthrough_probability(config: NodeConfig, mode: str) -> float:
@@ -217,18 +227,12 @@ def passthrough_probability(config: NodeConfig, mode: str) -> float:
         if mode == "solo"
         else config.source.heralding_eta
     )
-    return (
-        amp
-        * config.memory.filter_transmission
-        * config.analysis.qst_transmission
-        * config.detector_nir.efficiency
-    )
+    return _link_budget(config, amp, 1.0)
 
 
 def noise_rate_hz(config: NodeConfig) -> float:
     """Noise detection rate per trial while the control field is on."""
-    span = config.timing.op_on_s - config.timing.retrieve_at_s
-    return config.memory.noise_per_trial / span
+    return config.memory.noise_per_trial / config.timing.control_on_s
 
 
 def build_spec(
@@ -247,8 +251,8 @@ def build_spec(
     t = config.timing
     mem = config.memory
     retrieve_at = t.retrieve_at_s + extra_storage_s
-    noise_span = t.op_on_s - t.retrieve_at_s  # control-on duration is fixed
-    noise_start, noise_end = retrieve_at, retrieve_at + noise_span
+    # the control-on duration is fixed; it starts at the delayed retrieval
+    noise_start, noise_end = retrieve_at, retrieve_at + t.control_on_s
     frame_end = min(noise_end + 30e-9, t.clock_period_s)
     sigmas, fractions = envelope_components(config)
 
@@ -311,7 +315,7 @@ def run_source(config: NodeConfig, condition: str, n_trials: int,
     spec = build_spec(config, "source", condition, extra_storage_s)
     w = config.workers if workers is None else workers
     # offset the block stream so different storage delays are independent
-    cond = _COND_IDS[condition] + 16 * (1 + int(round(extra_storage_s * 1e12)) % (2**40))
+    cond = _COND_IDS[condition] + 16 * (1 + _delay_key(extra_storage_s))
     return run_condition(spec, config.seed, cond, n_trials, w)
 
 
@@ -350,11 +354,8 @@ def run_tomography(
     p_window = p_chain * window_capture(config, w)
     p_noise = noise_rate_hz(config) * w
 
-    delay_key = int(round(extra_storage_s * 1e12)) % (2**40)
-    rng = np.random.Generator(
-        np.random.Philox(key=(config.seed & (2**64 - 1), _COND_IDS["tomography"]))
-        .jumped(delay_key)
-    )
+    rng = _block_rng(config.seed, _COND_IDS["tomography"],
+                     _delay_key(extra_storage_s))
     counts = np.zeros(len(settings), dtype=np.int64)
     triggers = np.zeros(len(settings), dtype=np.int64)
     for i, setting in enumerate(settings):

@@ -28,19 +28,19 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def solo(cfg):
-    metrics, _ = experiments.solo_metrics(cfg, 1_000_000, workers=4)
+    metrics, _ = experiments.solo_metrics(cfg, 1_000_000)
     return metrics
 
 
 @pytest.fixture(scope="module")
 def source(cfg):
-    metrics, _ = experiments.source_metrics(cfg, 1_000_000, workers=4)
+    metrics, _ = experiments.source_metrics(cfg, 1_000_000)
     return metrics
 
 
 @pytest.fixture(scope="module")
 def sweep(cfg):
-    return experiments.detection_window_sweep(cfg, 2_000_000, workers=4)
+    return experiments.detection_window_sweep(cfg, 2_000_000)
 
 
 def test_criterion_1_fidelity_snr_relation():
@@ -202,7 +202,7 @@ def test_criterion_10_storage_time_scan(cfg):
     # 3e6 triggers per delay put the +/-15% band about 7 sigma of the fitted
     # tau out (sigma ~0.17 us at 3e5 triggers, where the band is only 2.2 sigma)
     scan = experiments.storage_time_scan(
-        cfg, delays, n_trials=3_000_000, workers=4, duration_per_setting_s=6.0
+        cfg, delays, n_trials=3_000_000, duration_per_setting_s=6.0
     )
     tau = scan.efficiency_fit.tau_s
     ok = abs(tau - 2.6e-6) <= 0.15 * 2.6e-6 and not scan.efficiency_fit.non_decaying

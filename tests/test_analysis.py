@@ -45,6 +45,12 @@ def test_peak_and_centered_window():
     spec = analysis.centered_window(h, 4e-9, 60e-9, 30e-9)
     assert spec.signal_start_s == pytest.approx(18.5e-9)
     assert spec.signal_width_s == 4e-9
+    # a peak at either edge shifts the window inside the histogram span
+    for peak_bin, start in ((0, 0.0), (99, 96e-9)):
+        h = _peaked(peak_bin=peak_bin)
+        spec = analysis.centered_window(h, 4e-9, 60e-9, 30e-9)
+        assert spec.signal_start_s == pytest.approx(start)
+        assert analysis.extract_snr(h, spec).signal_counts > 0
 
 
 def test_extract_snr_peaked():

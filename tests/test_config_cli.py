@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import pytest
 import yaml
@@ -28,11 +29,34 @@ def test_defaults_load():
     assert len(cfg.config_hash()) == 64
 
 
-def test_unknown_key_rejected(tmp_path, raw):
+# a made-up key, then the keys that no computation read and were removed
+_UNKNOWN_KEYS = {
+    "memory.bogus_knob": 1.0,
+    "detectors.telecom": {"label": "SNSPD", "efficiency": 0.90,
+                          "jitter_ps": 94.0, "jitter_convention": "fwhm"},
+    "detectors.nir.label": "SPAD",
+    "memory.interface_transmission": 0.66,
+    "memory.control_rabi_peak_mhz_2pi": 152.0,
+    "timing.write_pulse_len_ns": 5.0,
+    "timing.write_fall_ns": 0.3,
+    "analysis.measured_filter_bandwidth_mhz_2pi": 182.0,
+}
+
+
+@pytest.mark.parametrize("key", list(_UNKNOWN_KEYS))
+def test_unknown_key_rejected(tmp_path, raw, capsys, key):
     data = copy.deepcopy(raw)
-    data["memory"]["bogus_knob"] = 1.0
-    with pytest.raises(ConfigError, match="memory.bogus_knob"):
-        load_config(_write(tmp_path, data))
+    *parents, leaf = key.split(".")
+    section = data
+    for name in parents:
+        section = section[name]
+    section[leaf] = _UNKNOWN_KEYS[key]
+    path = _write(tmp_path, data, "old.yaml")
+    with pytest.raises(ConfigError, match=re.escape(f"unknown key: {key}")):
+        load_config(path)
+    assert cli.main(["solo", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_missing_key_rejected(tmp_path, raw):
@@ -118,6 +142,20 @@ def test_cli_config_errors(tmp_path, raw, capsys):
             err = capsys.readouterr().err
             assert err.startswith("config error:")
             assert "Traceback" not in err
+
+
+def test_cli_tiny_trial_counts(tmp_path, capsys):
+    # one trial: the window sweep still runs; efficiency is undefined
+    # because the input histogram stays empty
+    assert cli.main(["sweep-window", "--trials", "1",
+                     "--out", str(tmp_path / "sweep")]) == 0
+    for cmd in ("solo", "source"):
+        capsys.readouterr()
+        rc = cli.main([cmd, "--trials", "1", "--out", str(tmp_path / cmd)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "input histogram has no counts" in err
+        assert "outside the histogram span" not in err
 
 
 def test_cli_solo_run(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vapornode import models
+from vapornode import experiments, models, simulate
 from vapornode.config import load_config
 
 
@@ -13,21 +13,25 @@ def cfg():
 
 
 def test_storage_efficiency_decay(cfg):
-    mem = cfg.memory
-    assert models.storage_efficiency_at(mem, 0.0) == mem.eta0_internal
-    assert models.storage_efficiency_at(mem, mem.tau_coherence_s) == pytest.approx(
-        mem.eta0_internal / math.e
-    )
+    tau = cfg.memory.tau_coherence_s
+    for mode in ("solo", "source"):
+        p0 = simulate.detected_signal_probability(cfg, mode)
+        assert simulate.detected_signal_probability(cfg, mode, 0.0) == p0
+        assert simulate.detected_signal_probability(
+            cfg, mode, tau
+        ) == pytest.approx(p0 / math.e)
     with pytest.raises(ValueError):
-        models.storage_efficiency_at(mem, -1e-9)
+        experiments.storage_time_scan(cfg, [-1e-9, 0.0, 1e-6], n_trials=1)
 
 
 def test_storage_efficiency_log_linear(cfg):
-    mem = cfg.memory
     t = np.linspace(0.0, 6e-6, 20)
-    y = np.array([models.storage_efficiency_at(mem, ti) for ti in t])
-    slope = np.polyfit(t, np.log(y), 1)[0]
-    assert slope == pytest.approx(-1.0 / mem.tau_coherence_s, rel=1e-9)
+    for mode in ("solo", "source"):
+        y = np.array([simulate.detected_signal_probability(cfg, mode, ti)
+                      for ti in t])
+        slope = np.polyfit(t, np.log(y), 1)[0]
+        assert slope == pytest.approx(-1.0 / cfg.memory.tau_coherence_s,
+                                      rel=1e-9)
 
 
 def test_source_efficiency_example(cfg):
@@ -52,54 +56,37 @@ def test_predict_source_snr():
         models.predict_source_snr(-1.0, 0.2, 1.0)
 
 
-def test_memory_bandwidth_scaling(cfg):
-    mem = cfg.memory
-    omega = mem.control_rabi_peak_rad_s
-    assert models.memory_bandwidth_from_control(mem, omega, 61e6) == pytest.approx(
-        61e6
-    )
-    assert models.memory_bandwidth_from_control(
-        mem, omega / math.sqrt(2.0), 61e6
-    ) == pytest.approx(122e6)
-    # configurable exponent
-    assert models.memory_bandwidth_from_control(
-        mem, omega / 2.0, 61e6, exponent=1.0
-    ) == pytest.approx(122e6)
-
-
 def test_end_to_end_probability(cfg):
-    p = models.end_to_end_detection_probability(
-        cfg.source, cfg.memory, cfg.detector_nir,
-        qst_transmission=0.90, window_capture=0.78,
-    )
-    # 0.20 * 0.052 * 0.35 * 0.90 * 0.65 * 0.78
-    assert p == pytest.approx(1.66e-3, rel=0.05)
+    p = simulate.detected_signal_probability(cfg, "source")
+    # 0.20 * 0.052 * 0.35 * 0.90 * 0.65
+    assert p == pytest.approx(2.13e-3, rel=0.05)
     factors = (cfg.source.heralding_eta, cfg.memory.eta0_source,
-               cfg.memory.filter_transmission, 0.90,
-               cfg.detector_nir.efficiency, 0.78)
+               cfg.memory.filter_transmission, cfg.analysis.qst_transmission,
+               cfg.detector_nir.efficiency)
     assert p <= min(factors)
-    assert models.end_to_end_detection_probability(
-        cfg.source, cfg.memory, cfg.detector_nir, 0.90, 0.0
-    ) == 0.0
+    # the pass-through chain is the same budget without the memory
+    assert simulate.passthrough_probability(cfg, "source") == pytest.approx(
+        p / cfg.memory.eta0_source, rel=1e-12
+    )
+    assert p * simulate.window_capture(cfg, 0.0) == 0.0
 
 
 def test_detector_jitter_conventions():
-    fwhm = models.DetectorParams(0.65, 350e-12, "SPAD", "fwhm")
-    sig = models.DetectorParams(0.65, 350e-12, "SPAD", "sigma")
+    fwhm = models.DetectorParams(0.65, 350e-12, "fwhm")
+    sig = models.DetectorParams(0.65, 350e-12, "sigma")
     assert fwhm.jitter_sigma_s == pytest.approx(350e-12 / 2.3548, rel=1e-4)
     assert sig.jitter_sigma_s == 350e-12
     with pytest.raises(ValueError):
-        models.DetectorParams(0.65, 350e-12, "APD")
+        models.DetectorParams(0.65, 350e-12, "hwhm")
     with pytest.raises(ValueError):
-        models.DetectorParams(1.2, 350e-12, "SPAD")
+        models.DetectorParams(1.2, 350e-12)
 
 
-def test_timing_invariants():
+def test_timing_invariants(cfg):
+    assert cfg.timing.control_on_s == pytest.approx(95e-9)
     with pytest.raises(ValueError):
         models.TimingConfig(
             op_off_s=20e-9,  # must be negative
-            write_pulse_len_s=5e-9,
-            write_fall_s=0.3e-9,
             retrieve_at_s=55e-9,
             op_on_s=150e-9,
             clock_period_s=2e-6,
@@ -118,7 +105,5 @@ def test_memory_params_invariants(cfg):
             retrieval_delay_s=mem.retrieval_delay_s,
             noise_per_trial=0.5,  # above the modeled regime
             retrieved_pulse=mem.retrieved_pulse,
-            control_rabi_peak_rad_s=mem.control_rabi_peak_rad_s,
-            interface_transmission=mem.interface_transmission,
             filter_transmission=mem.filter_transmission,
         )
