@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -283,18 +284,33 @@ _COMMANDS = {
 }
 
 
+# (argparse dest, check, requirement); a flag a subcommand lacks is skipped.
+# GHz values must stay finite in Hz.  A zero --duration passes: it runs and
+# fails for want of counts.
+_NUMERIC_FLAGS = (
+    ("trials", lambda v: v >= 1, ">= 1"),
+    ("workers", lambda v: v >= 1, ">= 1"),
+    ("points", lambda v: v >= 1, ">= 1"),
+    ("band_ghz", lambda v: v > 0 and math.isfinite(v * 1e9),
+     "> 0 and finite in Hz"),
+    ("max_time_us", lambda v: v > 0 and math.isfinite(v), "finite and > 0"),
+    ("duration", lambda v: v >= 0 and math.isfinite(v), "finite and >= 0"),
+    ("query_ghz", lambda v: math.isfinite(v * 1e9), "finite in Hz"),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    if getattr(args, "trials", 1) < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.workers is not None and args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+    for name, ok, need in _NUMERIC_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            flag = "--" + name.replace("_", "-")
+            print(f"error: {flag} must be {need}, got {value}", file=sys.stderr)
+            return EXIT_USAGE
 
     overrides = {}
     if args.seed is not None:

@@ -204,8 +204,6 @@ def storage_time_scan(
     delays = np.sort(np.asarray(list(delays_s), dtype=float))
     if delays.size < 3:
         raise ValueError("need at least 3 storage delays")
-    if delays[0] < 0:
-        raise ValueError("storage delays must be >= 0")
     a = config.analysis
     effs, fids = [], []
     converged = True

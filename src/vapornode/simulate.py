@@ -203,9 +203,17 @@ def _link_budget(config: NodeConfig, amp: float, eta: float) -> float:
     )
 
 
+def _check_delay(extra_storage_s: float) -> None:
+    if not (math.isfinite(extra_storage_s) and extra_storage_s >= 0):
+        raise ValueError(
+            f"extra_storage_s must be finite and >= 0, got {extra_storage_s}"
+        )
+
+
 def detected_signal_probability(config: NodeConfig, mode: str,
                                 extra_storage_s: float = 0.0) -> float:
     """Full-pulse detection probability per trial for the memory condition."""
+    _check_delay(extra_storage_s)
     mem = config.memory
     if mode == "solo":
         amp = config.solo.mean_photon_number
@@ -248,6 +256,7 @@ def build_spec(
     """
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}")
+    _check_delay(extra_storage_s)
     t = config.timing
     mem = config.memory
     retrieve_at = t.retrieve_at_s + extra_storage_s

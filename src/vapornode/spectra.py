@@ -11,6 +11,7 @@ detuning d_N = pairing_sum - d_T.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -102,6 +103,28 @@ def telecom_spectrum(model: JointSpectralModel, detuning_hz):
     return s
 
 
+def _cached(fn, *args):
+    """fn(*args) through its cache; a model with unhashable fields (say a
+    list of centers) is computed without it."""
+    try:
+        return fn(*args)
+    except TypeError:
+        return fn.__wrapped__(*args)
+
+
+@functools.lru_cache(maxsize=16)
+def _herald_grid(model: JointSpectralModel, band_hz: float, n_grid: int):
+    """Everything in the heralding integrals that does not depend on the
+    cavity: (nu, s_tel(nu), integral of s_tel, NIR survival at the paired
+    detuning).  The arrays are shared between calls, so read-only."""
+    nu = np.linspace(-band_hz / 2.0, band_hz / 2.0, n_grid)
+    s = telecom_spectrum(model, nu)
+    surv = model.nir_survival(model.paired_nir_detuning(nu))
+    for a in (nu, s, surv):
+        a.flags.writeable = False
+    return nu, s, float(np.trapezoid(s, nu)), surv
+
+
 def heralding_vs_cavity_detuning(
     model: JointSpectralModel,
     cavity: CavitySpec,
@@ -116,18 +139,19 @@ def heralding_vs_cavity_detuning(
     weights the same integrand with the survival of the paired NIR photon.
     The heralding filter is double-passed by default, which tames the
     Lorentzian tails that would otherwise wash out the survival structure.
+    Only the cavity factor is computed per call; the rest is built once per
+    (model, band, grid).
     """
-    nu = np.linspace(-band_hz / 2.0, band_hz / 2.0, n_grid)
+    nu, s, s_total, surv = _cached(_herald_grid, model, band_hz, n_grid)
     # cavity_detuning_hz is the absolute cavity position; ignore any center
     # baked into the spec so scans do not double-shift
     recentered = replace(cavity, center_detuning_hz=0.0)
     t = cavity_transmission(recentered, nu - cavity_detuning_hz) ** passes
-    s = telecom_spectrum(model, nu)
-    rate = float(np.trapezoid(t * s, nu))
-    if rate <= 1e-30 * float(np.trapezoid(s, nu)):
+    ts = t * s
+    rate = float(np.trapezoid(ts, nu))
+    if rate <= 1e-30 * s_total:
         raise ValueError("rate below numeric floor; heralding efficiency undefined")
-    surv = model.nir_survival(model.paired_nir_detuning(nu))
-    eta = float(np.trapezoid(t * s * surv, nu)) / rate
+    eta = float(np.trapezoid(ts * surv, nu)) / rate
     return min(max(eta, 0.0), 1.0), rate
 
 
@@ -158,21 +182,30 @@ class MemoryAcceptanceModel:
         g = self.linewidth_hz / 2.0
         c1, c2 = self.hyperfine_centers_hz
         a1, a2 = self.amplitudes
-        num = np.abs(a1 * (d - c2) - a2 * (d - c1)) ** 2
-        den = (np.abs(d - c1 + 1j * g) ** 2) * (np.abs(d - c2 + 1j * g) ** 2)
-        return num / den
+        with np.errstate(over="ignore", invalid="ignore"):
+            num = np.abs(a1 * (d - c2) - a2 * (d - c1)) ** 2
+            den = (np.abs(d - c1 + 1j * g) ** 2) * (np.abs(d - c2 + 1j * g) ** 2)
+            # the response falls as 1/d^2: where den overflows it is 0, not
+            # inf/inf
+            return np.where(np.isinf(den), 0.0, num / den)
 
 
-def memory_efficiency_vs_detuning(model: MemoryAcceptanceModel, detuning_hz):
-    """Relative storage efficiency, normalized to unit peak over the band
-    spanning both hyperfine lines."""
+@functools.lru_cache(maxsize=64)
+def _acceptance_peak(model: MemoryAcceptanceModel):
+    """Peak of the raw response over the band spanning both hyperfine
+    lines, on an 8001-point grid; computed once per model."""
     span = 6.0 * (
         abs(model.hyperfine_centers_hz[1] - model.hyperfine_centers_hz[0])
         + model.linewidth_hz
     )
     grid = np.linspace(-span, span, 8001)
-    peak = model.raw_response(grid).max()
-    out = model.raw_response(detuning_hz) / peak
+    return model.raw_response(grid).max()
+
+
+def memory_efficiency_vs_detuning(model: MemoryAcceptanceModel, detuning_hz):
+    """Relative storage efficiency, normalized to unit peak over the band
+    spanning both hyperfine lines."""
+    out = model.raw_response(detuning_hz) / _cached(_acceptance_peak, model)
     return out if np.ndim(detuning_hz) else float(out)
 
 

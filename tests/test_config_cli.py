@@ -1,9 +1,14 @@
 import copy
 import json
+import math
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
 from vapornode import cli
 from vapornode.config import ConfigError, dump_config, load_config
@@ -297,3 +302,60 @@ def test_cli_sweep_window(tmp_path):
     assert len(data["window_ns"]) == len(data["fidelity"])
     header = (out / "sweep.csv").read_text().splitlines()[0]
     assert header == "window_ns,rate_pairs_per_s,fidelity,per_trial"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["spectral-scan", "--band-ghz", "nan"], "--band-ghz"),
+    (["spectral-scan", "--band-ghz", "inf"], "--band-ghz"),
+    (["spectral-scan", "--band-ghz", "0"], "--band-ghz"),
+    (["spectral-scan", "--band-ghz", "1e300"], "--band-ghz"),
+    (["filter-design", "--band-ghz", "nan"], "--band-ghz"),
+    (["filter-design", "--band-ghz=-2"], "--band-ghz"),
+    (["filter-design", "--query-ghz", "inf"], "--query-ghz"),
+    (["filter-design", "--query-ghz", "nan"], "--query-ghz"),
+    (["spectral-scan", "--points", "0"], "--points"),
+    (["spectral-scan", "--points", "-3"], "--points"),
+    (["filter-design", "--points", "0"], "--points"),
+    (["utility", "--points", "0"], "--points"),
+    (["utility", "--max-time-us", "0"], "--max-time-us"),
+    (["utility", "--max-time-us", "nan"], "--max-time-us"),
+    (["utility", "--max-time-us", "inf"], "--max-time-us"),
+    (["tomography", "--duration", "nan"], "--duration"),
+    (["tomography", "--duration", "inf"], "--duration"),
+    (["tomography", "--duration", "-1"], "--duration"),
+])
+def test_cli_rejects_invalid_numeric_flags(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be")
+    assert not out.exists()
+
+
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
+                            1e-300, 1e200])
+_FLOAT = st.one_of(_SPECIAL, st.floats())
+_FLAGS = {
+    "spectral-scan": {"--band-ghz": _FLOAT,
+                      "--points": st.integers(-3, 40)},
+    "filter-design": {"--band-ghz": _FLOAT, "--points": st.integers(-3, 40),
+                      "--query-ghz": _FLOAT},
+    "utility": {"--max-time-us": _FLOAT, "--points": st.integers(-3, 40)},
+    "tomography": {"--duration": _FLOAT},
+}
+
+
+@pytest.mark.parametrize("cmd", list(_FLAGS))
+@hyp_settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_cli_numeric_flags_property(cmd, data):
+    argv = [cmd]
+    for flag, values in _FLAGS[cmd].items():
+        if data.draw(st.booleans(), label=f"set {flag}"):
+            argv.append(f"{flag}={data.draw(values, label=flag)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        rc = cli.main(argv + ["--out", tmp])
+        assert rc in (0, 2, 3, 4, 64)
+        if rc == 0:
+            for path in Path(tmp).glob("*.csv"):
+                assert "nan" not in path.read_text().lower(), path.name

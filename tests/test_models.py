@@ -20,7 +20,7 @@ def test_storage_efficiency_decay(cfg):
         assert simulate.detected_signal_probability(
             cfg, mode, tau
         ) == pytest.approx(p0 / math.e)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="extra_storage_s"):
         experiments.storage_time_scan(cfg, [-1e-9, 0.0, 1e-6], n_trials=1)
 
 

@@ -277,3 +277,44 @@ def test_invalid_condition_rejected(cfg):
         simulate.run_condition(
             simulate.build_spec(cfg, "solo", "memory"), cfg.seed, 0, 0
         )
+
+
+_ENTRY_POINTS = {
+    "detected_signal_probability":
+        lambda cfg, t: simulate.detected_signal_probability(cfg, "source", t),
+    "run_source_memory":
+        lambda cfg, t: simulate.run_source(cfg, "memory", 10000, 1, t),
+    "run_source_input":
+        lambda cfg, t: simulate.run_source(cfg, "input", 10000, 1, t),
+    "run_source_no_input":
+        lambda cfg, t: simulate.run_source(cfg, "no_input", 10000, 1, t),
+    "run_tomography":
+        lambda cfg, t: simulate.run_tomography(cfg, extra_storage_s=t),
+    "predicted_window_snr":
+        lambda cfg, t: experiments.predicted_window_snr(
+            cfg, "source", extra_storage_s=t),
+}
+
+
+@pytest.mark.parametrize("delay", [-1e-6, -1e-12, math.nan, math.inf])
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_bad_storage_delay_rejected(cfg, entry, delay):
+    with pytest.raises(ValueError, match="extra_storage_s"):
+        _ENTRY_POINTS[entry](cfg, delay)
+
+
+def test_positive_storage_delay_stream_unchanged(cfg):
+    # values from before negative delays were rejected
+    expected = {"memory": (88, 0.09468588115754846),
+                "input": (825, 0.09550785478648853),
+                "no_input": (61, 0.09536054357111748)}
+    for cond, (total, duration) in expected.items():
+        h = simulate.run_source(cfg, cond, 20000, 1, 1e-6)
+        assert (int(h.counts.sum()), h.duration_accumulated_s) == (
+            total, duration)
+    counts = simulate.run_tomography(cfg, duration_per_setting_s=1.0,
+                                     extra_storage_s=1e-6).counts
+    assert counts.tolist() == [80, 5, 35, 36, 8, 76, 36, 36, 54, 39, 59, 26,
+                               45, 47, 37, 12]
+    assert simulate.detected_signal_probability(
+        cfg, "source", 1e-6) == 0.0014495078659829085

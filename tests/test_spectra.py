@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from vapornode import spectra
 from vapornode.config import load_config
-from vapornode.optics import CavitySpec
+from vapornode.optics import CavitySpec, cavity_transmission
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +183,86 @@ def test_operating_point_near_expected(cfg):
         cfg.spectral_model, cfg.source.telecom_cavity, cfg.memory_acceptance
     )
     assert abs(best - 1.1e9) < 0.3e9
+
+
+def _heralding_reference(model, cavity, dc, band_hz=8e9, n_grid=4001,
+                         passes=2):
+    """The heralding integrals computed inline, with no shared grid."""
+    nu = np.linspace(-band_hz / 2.0, band_hz / 2.0, n_grid)
+    recentered = dataclasses.replace(cavity, center_detuning_hz=0.0)
+    t = cavity_transmission(recentered, nu - dc) ** passes
+    s = spectra.telecom_spectrum(model, nu)
+    rate = float(np.trapezoid(t * s, nu))
+    surv = model.nir_survival(model.paired_nir_detuning(nu))
+    eta = float(np.trapezoid(t * s * surv, nu)) / rate
+    return min(max(eta, 0.0), 1.0), rate
+
+
+@pytest.mark.parametrize("grid", [{}, {"band_hz": 5e9, "n_grid": 1001,
+                                       "passes": 3}])
+def test_heralding_matches_uncached_reference(cfg, grid):
+    model, cav = cfg.spectral_model, cfg.source.telecom_cavity
+    for _ in range(2):  # the second pass reads the cached grid
+        for dc in (-2.3e9, 0.0, 0.92e9, 1.1e9):
+            got = spectra.heralding_vs_cavity_detuning(model, cav, dc, **grid)
+            assert got == _heralding_reference(model, cav, dc, **grid)
+
+
+def test_cached_grids_read_only(cfg):
+    nu, s, _, surv = spectra._herald_grid(cfg.spectral_model, 8e9, 4001)
+    for a in (nu, s, surv):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def test_cache_tells_models_apart(cfg):
+    base, cav = cfg.spectral_model, cfg.source.telecom_cavity
+    first, *rest = base.features
+    deeper = dataclasses.replace(first, depth=min(1.0, first.depth + 0.2))
+    other = dataclasses.replace(base, features=(deeper, *rest))
+    assert other != base
+    for model in (base, other, base):
+        got = spectra.heralding_vs_cavity_detuning(model, cav, 0.5e9)
+        assert got == _heralding_reference(model, cav, 0.5e9)
+    assert spectra.heralding_vs_cavity_detuning(base, cav, 0.5e9) != (
+        spectra.heralding_vs_cavity_detuning(other, cav, 0.5e9)
+    )
+    mem = cfg.memory_acceptance
+    wider = dataclasses.replace(mem, linewidth_hz=2.0 * mem.linewidth_hz)
+    assert spectra.memory_efficiency_vs_detuning(mem, 0.3e9) != (
+        spectra.memory_efficiency_vs_detuning(wider, 0.3e9)
+    )
+
+
+def test_unhashable_model_is_computed_uncached(cfg):
+    base, cav = cfg.spectral_model, cfg.source.telecom_cavity
+    pw = base.pathways
+    listed = dataclasses.replace(base, pathways=spectra.PathwaySpectrumModel(
+        list(pw.pathway_centers_hz), list(pw.pathway_weights),
+        pw.doppler_fwhm_hz))
+    assert spectra.heralding_vs_cavity_detuning(listed, cav, 1.1e9) == (
+        spectra.heralding_vs_cavity_detuning(base, cav, 1.1e9)
+    )
+
+
+def test_memory_curve_far_detuning_is_zero(cfg):
+    # the squares overflow beyond ~1e154 Hz; the response is 0 there
+    model = cfg.memory_acceptance
+    e = spectra.memory_efficiency_vs_detuning(model, np.array([-1e200, 1e300]))
+    assert e.tolist() == [0.0, 0.0]
+    assert spectra.memory_efficiency_vs_detuning(model, 1e200) == 0.0
+
+
+# operating points of the default config before the heralding grid was shared
+@pytest.mark.parametrize("band_hz, expected", [
+    (3e9, 917142857.1428571),
+    (7e9, 920000000.0),
+    (12e9, 908571428.5714283),
+])
+def test_operating_point_values_pinned(cfg, band_hz, expected):
+    best = spectra.select_operating_point(
+        cfg.spectral_model, cfg.source.telecom_cavity, cfg.memory_acceptance,
+        scan_band_hz=band_hz,
+    )
+    assert best == expected
