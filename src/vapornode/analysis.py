@@ -93,17 +93,14 @@ def internal_storage_efficiency(
     hist_memory: Histogram,
     hist_input: Histogram,
     window: WindowSpec,
-    transmissions: float = 1.0,
     noise_region_s: tuple | None = None,
 ) -> float:
     """Retrieved photons (noise-subtracted, full retrieval window) over
-    input photons, both per trial.
+    input photons, both per trial; both traverse the same optical chain.
 
-    transmissions is the ratio of retrieved-path to input-path optical
-    transmission (1 when both traverse the same chain).  noise_region_s
-    optionally bounds the span where the flat background exists (the
-    control-on interval); the subtraction then covers only the overlap with
-    the signal window instead of its full width.
+    noise_region_s optionally bounds the span where the flat background
+    exists (the control-on interval); the subtraction then covers only the
+    overlap with the signal window instead of its full width.
     """
     if hist_memory.n_trials < 1 or hist_input.n_trials < 1:
         raise ValueError("histograms must carry their trial counts")
@@ -125,14 +122,13 @@ def internal_storage_efficiency(
         )
     retrieved_per_trial = (raw - noise_rate * overlap) / hist_memory.n_trials
     input_per_trial = input_counts / hist_input.n_trials
-    return retrieved_per_trial / (input_per_trial * transmissions)
+    return retrieved_per_trial / input_per_trial
 
 
 def mean_photon_number(
     hist_input: Histogram,
     transmissions: float,
     detector_efficiency: float,
-    n_trials: int,
 ) -> float:
     """Input photon number per trial, backtracked through the pass-through
     transmission and the detector efficiency."""
@@ -140,8 +136,10 @@ def mean_photon_number(
                     ("detector_efficiency", detector_efficiency)):
         if not 0.0 < v <= 1.0:
             raise ValueError(f"{name} must be in (0, 1], got {v}")
+    if hist_input.n_trials < 1:
+        raise ValueError("histogram must carry its trial count")
     return float(hist_input.counts.sum()) / (
-        n_trials * transmissions * detector_efficiency
+        hist_input.n_trials * transmissions * detector_efficiency
     )
 
 
@@ -150,7 +148,6 @@ class ExponentialFit:
     amplitude: float
     tau_s: float
     tau_sigma_s: float
-    covariance: np.ndarray
     non_decaying: bool = False
     excluded_points: int = 0
 
@@ -186,7 +183,6 @@ def fit_exponential(t, y, sigma=None) -> ExponentialFit:
             amplitude=float(np.exp(lm)),
             tau_s=math.inf,
             tau_sigma_s=math.inf,
-            covariance=np.full((2, 2), np.nan),
             non_decaying=True,
             excluded_points=excluded,
         )
@@ -203,7 +199,6 @@ def fit_exponential(t, y, sigma=None) -> ExponentialFit:
         amplitude=float(popt[0]),
         tau_s=float(popt[1]),
         tau_sigma_s=float(np.sqrt(pcov[1, 1])),
-        covariance=pcov,
         excluded_points=excluded,
     )
 
@@ -214,7 +209,6 @@ class SweepResult:
     rates_pairs_per_s: np.ndarray
     fidelities: np.ndarray
     per_trial_success: np.ndarray
-    snrs: np.ndarray
 
     def to_csv(self, path) -> None:
         with open(path, "w") as f:
@@ -251,7 +245,7 @@ def window_sweep(
         corrections["qst"] * corrections["detector"] * corrections["vv_fraction"]
     )
     windows = np.sort(np.asarray(list(window_sizes_s), dtype=float))
-    rates, fids, per_trial, snrs = [], [], [], []
+    rates, fids, per_trial = [], [], []
     for w in windows:
         spec = centered_window(hist_signal, w, noise_window_start_s, noise_window_s)
         res = extract_snr(hist_signal, spec)
@@ -259,14 +253,12 @@ def window_sweep(
         pt = captured / hist_signal.n_trials
         per_trial.append(pt)
         rates.append(pt * trial_rate_hz / correction)
-        snrs.append(res.snr)
         fids.append(fidelity_from_snr(max(res.snr, 0.0)))
     return SweepResult(
         window_sizes_s=windows,
         rates_pairs_per_s=np.asarray(rates),
         fidelities=np.asarray(fids),
         per_trial_success=np.asarray(per_trial),
-        snrs=np.asarray(snrs),
     )
 
 

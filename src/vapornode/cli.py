@@ -47,11 +47,11 @@ def _utc_now() -> str:
 class _Run:
     """Collects output paths and warnings, writes the manifest at the end."""
 
-    def __init__(self, config: NodeConfig, out_dir: str, command: list):
+    def __init__(self, config: NodeConfig, args):
         self.config = config
-        self.out = Path(out_dir)
+        self.out = Path(args.out)
         self.out.mkdir(parents=True, exist_ok=True)
-        self.command = command
+        self.command = args.argv
         self.start = _utc_now()
         self.outputs = []
         self.warnings = []
@@ -102,7 +102,7 @@ def _cmd_histograms(args, config: NodeConfig, mode: str) -> int:
         metrics, runs = experiments.solo_metrics(config, args.trials)
     else:
         metrics, runs = experiments.source_metrics(config, args.trials)
-    run = _Run(config, args.out, sys.argv[1:])
+    run = _Run(config, args)
     for cond in ("memory", "input", "no_input"):
         getattr(runs, cond).to_csv(run.path(f"hist_{cond}.csv"))
     _emit_metrics(run, "metrics", metrics.to_json_dict(), args.format)
@@ -129,7 +129,7 @@ def _cmd_tomography(args, config: NodeConfig) -> int:
     if not counts.informationally_complete:
         raise ConfigError("settings: not informationally complete")
     result = tomography.mle_tomography(counts.counts, counts.settings)
-    run = _Run(config, args.out, sys.argv[1:])
+    run = _Run(config, args)
     with open(run.path("counts.csv"), "w") as f:
         f.write("setting,triggers,coincidences\n")
         for s, t, c in zip(counts.settings, counts.triggers_per_setting,
@@ -143,7 +143,7 @@ def _cmd_tomography(args, config: NodeConfig) -> int:
 
 def _cmd_sweep_window(args, config: NodeConfig) -> int:
     sweep = experiments.detection_window_sweep(config, args.trials)
-    run = _Run(config, args.out, sys.argv[1:])
+    run = _Run(config, args)
     sweep.to_csv(run.path("sweep.csv"))
     run.write_json("sweep.json", {
         "window_ns": (sweep.window_sizes_s * 1e9).tolist(),
@@ -157,7 +157,7 @@ def _cmd_sweep_window(args, config: NodeConfig) -> int:
 def _cmd_utility(args, config: NodeConfig) -> int:
     times = np.linspace(0.0, args.max_time_us * 1e-6, args.points)
     fids = experiments.model_fidelity_curve(config, times)
-    run = _Run(config, args.out, sys.argv[1:])
+    run = _Run(config, args)
     with open(run.path("utility.csv"), "w") as f:
         f.write("time_us,fidelity\n")
         for t, fi in zip(times, fids):
@@ -182,7 +182,7 @@ def _cmd_spectral_scan(args, config: NodeConfig) -> int:
     mem_model = config.memory_acceptance
     detunings = np.linspace(-args.band_ghz / 2.0, args.band_ghz / 2.0,
                             args.points) * 1e9
-    run = _Run(config, args.out, sys.argv[1:])
+    run = _Run(config, args)
     with open(run.path("spectral.csv"), "w") as f:
         f.write("cavity_detuning_ghz,heralding_eta,relative_rate,"
                 "memory_acceptance\n")
@@ -205,7 +205,7 @@ def _cmd_spectral_scan(args, config: NodeConfig) -> int:
 
 def _cmd_filter_design(args, config: NodeConfig) -> int:
     cascade = config.filter_cascade
-    run = _Run(config, args.out, sys.argv[1:])
+    run = _Run(config, args)
     detunings = np.linspace(-args.band_ghz / 2.0, args.band_ghz / 2.0,
                             args.points) * 1e9
     with open(run.path("filter.csv"), "w") as f:
@@ -300,11 +300,13 @@ _NUMERIC_FLAGS = (
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
+    args.argv = argv  # recorded in the manifest
     for name, ok, need in _NUMERIC_FLAGS:
         value = getattr(args, name, None)
         if value is not None and not ok(value):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import importlib.resources
 import json
+import math
 from dataclasses import dataclass
 
 import yaml
@@ -116,15 +117,13 @@ class _Section:
         if name not in self.data:
             raise ConfigError(f"missing required key: {self._key(name)}")
         self.seen.add(name)
-        value = self.data[name]
-        if kind is not None and not isinstance(value, kind):
-            if kind is float and isinstance(value, int):
-                return float(value)
-            raise ConfigError(
-                f"{self._key(name)}: expected {getattr(kind, '__name__', kind)}, "
-                f"got {type(value).__name__}"
-            )
-        return value
+        return _typed(self.data[name], kind, self._key(name))
+
+    def get_list(self, name, kind=float) -> tuple:
+        """A list whose entries are each checked like a scalar of `kind`."""
+        key = self._key(name)
+        return tuple(_typed(v, kind, f"{key}[{i}]")
+                     for i, v in enumerate(self.get(name, list)))
 
     def section(self, name):
         return _Section(self.get(name), self._key(name))
@@ -134,6 +133,26 @@ class _Section:
         if unknown:
             key = sorted(unknown)[0]
             raise ConfigError(f"unknown key: {self._key(key)}")
+
+
+def _typed(value, kind, key):
+    """value checked against kind: never a bool where a number is expected,
+    an int is accepted as a float, and a float must be finite."""
+    if kind is None:
+        return value
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(
+            f"{key}: expected {kind.__name__}, got {type(value).__name__}"
+        )
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{key}: {value} does not fit a float") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: expected a finite number, got {value}")
+    return value
 
 
 def _cavity(sec: _Section) -> CavitySpec:
@@ -235,7 +254,7 @@ def parse_config(data: dict) -> NodeConfig:
             * 1e-9,
             tomography_window_s=a_sec.get("tomography_window_ns", float) * 1e-9,
             sweep_windows_s=tuple(
-                w * 1e-9 for w in a_sec.get("sweep_windows_ns", list)
+                w * 1e-9 for w in a_sec.get_list("sweep_windows_ns")
             ),
         )
         a_sec.finish()
@@ -263,9 +282,9 @@ def parse_config(data: dict) -> NodeConfig:
         sp_sec = root.section("spectra")
         pathways = PathwaySpectrumModel(
             pathway_centers_hz=tuple(
-                c * 1e9 for c in sp_sec.get("pathway_centers_ghz", list)
+                c * 1e9 for c in sp_sec.get_list("pathway_centers_ghz")
             ),
-            pathway_weights=tuple(sp_sec.get("pathway_weights", list)),
+            pathway_weights=sp_sec.get_list("pathway_weights"),
             doppler_fwhm_hz=sp_sec.get("doppler_fwhm_ghz", float) * 1e9,
         )
         features = tuple(
@@ -281,9 +300,9 @@ def parse_config(data: dict) -> NodeConfig:
         ma_sec = sp_sec.section("memory_acceptance")
         acceptance = MemoryAcceptanceModel(
             hyperfine_centers_hz=tuple(
-                c * 1e9 for c in ma_sec.get("hyperfine_centers_ghz", list)
+                c * 1e9 for c in ma_sec.get_list("hyperfine_centers_ghz")
             ),
-            amplitudes=tuple(ma_sec.get("amplitudes", list)),
+            amplitudes=ma_sec.get_list("amplitudes"),
             linewidth_hz=ma_sec.get("linewidth_ghz", float) * 1e9,
         )
         ma_sec.finish()
@@ -337,7 +356,3 @@ def load_config(path=None, overrides: dict | None = None) -> NodeConfig:
         data = {**data, **overrides}
     return parse_config(data)
 
-
-def dump_config(config: NodeConfig, path) -> None:
-    with open(path, "w") as f:
-        yaml.safe_dump(config.raw, f, sort_keys=True)

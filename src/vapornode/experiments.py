@@ -30,17 +30,16 @@ class ConditionRuns:
 
 
 def run_conditions(config: NodeConfig, mode: str, n_trials: int,
-                   workers: int | None = None,
                    extra_storage_s: float = 0.0) -> ConditionRuns:
     """The three standard histograms: storage+retrieval, memory bypassed
     (pass-through pulse), and no input light (noise only)."""
     if mode == "solo":
         if extra_storage_s:
             raise ValueError("storage-time scans need triggered operation")
-        run = lambda c: simulate.run_solo(config, c, n_trials, workers)
+        run = lambda c: simulate.run_solo(config, c, n_trials)
     elif mode == "source":
-        run = lambda c: simulate.run_source(config, c, n_trials, workers,
-                                            extra_storage_s)
+        run = lambda c: simulate.run_source(
+            config, c, n_trials, extra_storage_s=extra_storage_s)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return ConditionRuns(
@@ -72,30 +71,37 @@ class NodeMetrics:
         }
 
 
-def _metrics(config: NodeConfig, mode: str, runs: ConditionRuns,
-             n_trials: int) -> NodeMetrics:
+def _full_window_efficiency(config: NodeConfig, memory: Histogram,
+                            inp: Histogram,
+                            extra_storage_s: float = 0.0) -> float:
+    """Internal storage efficiency in the full retrieval window; a storage
+    delay shifts the noise window and the control-on (background) region."""
+    a, t = config.analysis, config.timing
+    full = analysis.centered_window(
+        memory, 2.0 * a.full_signal_halfwidth_s,
+        a.noise_window_start_s + extra_storage_s, a.noise_window_s,
+    )
+    on = t.retrieve_at_s + extra_storage_s
+    return analysis.internal_storage_efficiency(
+        memory, inp, full, noise_region_s=(on, on + t.control_on_s)
+    )
+
+
+def _metrics(config: NodeConfig, mode: str, runs: ConditionRuns) -> NodeMetrics:
     a = config.analysis
     window = analysis.centered_window(
         runs.memory, a.signal_window_s, a.noise_window_start_s, a.noise_window_s
     )
     snr = analysis.extract_snr(runs.memory, window)
-
-    full = analysis.centered_window(
-        runs.memory, 2.0 * a.full_signal_halfwidth_s,
-        a.noise_window_start_s, a.noise_window_s,
-    )
-    control_on = (config.timing.retrieve_at_s, config.timing.op_on_s)
-    eff = analysis.internal_storage_efficiency(
-        runs.memory, runs.input, full, noise_region_s=control_on
-    )
+    eff = _full_window_efficiency(config, runs.memory, runs.input)
 
     # flat background per trial, referred to the signal window width
-    floor = (runs.no_input.total() / n_trials
+    floor = (runs.no_input.total() / runs.no_input.n_trials
              * (a.signal_window_s / config.timing.control_on_s))
 
     metrics = NodeMetrics(
         mode=mode,
-        n_trials=n_trials,
+        n_trials=runs.memory.n_trials,
         snr=snr.snr,
         snr_lower_bound=snr.lower_bound,
         storage_efficiency=eff,
@@ -106,33 +112,29 @@ def _metrics(config: NodeConfig, mode: str, runs: ConditionRuns,
             runs.input,
             config.memory.filter_transmission * a.qst_transmission,
             config.detector_nir.efficiency,
-            n_trials,
         )
         metrics.mean_photon_number = nbar
         metrics.snr_photon_normalized = snr.snr / nbar
     return metrics
 
 
-def solo_metrics(config: NodeConfig, n_trials: int,
-                 workers: int | None = None) -> tuple:
+def solo_metrics(config: NodeConfig, n_trials: int) -> tuple:
     """Clocked weak-coherent-pulse characterization.
 
     Returns (NodeMetrics, ConditionRuns); the metrics include the input
     photon number and the SNR normalized to one photon per pulse.
     """
-    runs = run_conditions(config, "solo", n_trials, workers)
-    return _metrics(config, "solo", runs, n_trials), runs
+    runs = run_conditions(config, "solo", n_trials)
+    return _metrics(config, "solo", runs), runs
 
 
-def source_metrics(config: NodeConfig, n_trials: int,
-                   workers: int | None = None) -> tuple:
+def source_metrics(config: NodeConfig, n_trials: int) -> tuple:
     """Heralded-photon characterization; n_trials counts telecom triggers."""
-    runs = run_conditions(config, "source", n_trials, workers)
-    return _metrics(config, "source", runs, n_trials), runs
+    runs = run_conditions(config, "source", n_trials)
+    return _metrics(config, "source", runs), runs
 
 
 def detection_window_sweep(config: NodeConfig, n_trials: int,
-                           workers: int | None = None,
                            hist: Histogram | None = None) -> analysis.SweepResult:
     """Pair rate and fidelity vs detection-window size (triggered mode).
 
@@ -141,7 +143,7 @@ def detection_window_sweep(config: NodeConfig, n_trials: int,
     half of the coincidences.
     """
     if hist is None:
-        hist = simulate.run_source(config, "memory", n_trials, workers)
+        hist = simulate.run_source(config, "memory", n_trials)
     a = config.analysis
     return analysis.window_sweep(
         hist,
@@ -166,59 +168,29 @@ class StorageScan:
     utility: analysis.UtilityTime
     tomography_converged: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "delays_us": (self.delays_s * 1e6).tolist(),
-            "efficiencies": self.efficiencies.tolist(),
-            "fidelities": self.fidelities.tolist(),
-            "tau_us": self.efficiency_fit.tau_s * 1e6,
-            "tau_sigma_us": self.efficiency_fit.tau_sigma_s * 1e6,
-            "utility_time_us": self.utility.time_s * 1e6,
-            "utility_bounded": self.utility.bounded,
-            "tomography_converged": self.tomography_converged,
-        }
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("delay_us,efficiency,fidelity\n")
-            for d, e, fi in zip(self.delays_s, self.efficiencies,
-                                self.fidelities):
-                f.write(f"{d * 1e6:.4f},{e:.6g},{fi:.6f}\n")
-
 
 def storage_time_scan(
     config: NodeConfig,
     delays_s,
     n_trials: int,
-    workers: int | None = None,
     duration_per_setting_s: float = 12.5,
-    threshold: float = DISTILLATION_THRESHOLD,
 ) -> StorageScan:
     """Efficiency and reconstructed fidelity vs storage time.
 
     Each delay gets its own triggered memory/input runs (efficiency) and a
     full tomography pass (fidelity).  The efficiency decay is fit to a
     single exponential; the fidelity curve yields the utility time at the
-    given threshold.
+    distillation threshold.
     """
     delays = np.sort(np.asarray(list(delays_s), dtype=float))
     if delays.size < 3:
         raise ValueError("need at least 3 storage delays")
-    a = config.analysis
     effs, fids = [], []
     converged = True
     for d in delays:
-        mem = simulate.run_source(config, "memory", n_trials, workers, d)
-        inp = simulate.run_source(config, "input", n_trials, workers, d)
-        full = analysis.centered_window(
-            mem, 2.0 * a.full_signal_halfwidth_s,
-            a.noise_window_start_s + d, a.noise_window_s,
-        )
-        region = (config.timing.retrieve_at_s + d,
-                  config.timing.retrieve_at_s + d + config.timing.control_on_s)
-        effs.append(analysis.internal_storage_efficiency(
-            mem, inp, full, noise_region_s=region
-        ))
+        mem = simulate.run_source(config, "memory", n_trials, extra_storage_s=d)
+        inp = simulate.run_source(config, "input", n_trials, extra_storage_s=d)
+        effs.append(_full_window_efficiency(config, mem, inp, d))
         counts = simulate.run_tomography(
             config, duration_per_setting_s=duration_per_setting_s,
             extra_storage_s=d,
@@ -229,7 +201,7 @@ def storage_time_scan(
     effs = np.asarray(effs)
     fids = np.asarray(fids)
     fit = analysis.fit_exponential(delays, effs)
-    utility = analysis.utility_time(delays, fids, threshold)
+    utility = analysis.utility_time(delays, fids, DISTILLATION_THRESHOLD)
     return StorageScan(
         delays_s=delays,
         efficiencies=effs,
@@ -241,11 +213,9 @@ def storage_time_scan(
 
 
 def predicted_window_snr(config: NodeConfig, mode: str,
-                         window_s: float | None = None,
                          extra_storage_s: float = 0.0) -> float:
-    """Model SNR in a peak-centered window, no Monte Carlo."""
-    a = config.analysis
-    w = a.signal_window_s if window_s is None else window_s
+    """Model SNR in the peak-centered signal window, no Monte Carlo."""
+    w = config.analysis.signal_window_s
     signal = simulate.detected_signal_probability(
         config, mode, extra_storage_s
     ) * simulate.window_capture(config, w)
@@ -253,15 +223,13 @@ def predicted_window_snr(config: NodeConfig, mode: str,
     return signal / noise
 
 
-def model_fidelity_curve(config: NodeConfig, times_s,
-                         snr0: float | None = None) -> np.ndarray:
+def model_fidelity_curve(config: NodeConfig, times_s) -> np.ndarray:
     """Werner-model fidelity vs storage time.
 
     The stored signal decays as exp(-t/tau) while the background stays
     flat, so the SNR inherits the efficiency decay directly.
     """
-    if snr0 is None:
-        snr0 = predicted_window_snr(config, "source")
+    snr0 = predicted_window_snr(config, "source")
     t = np.asarray(times_s, dtype=float)
     return np.array([
         fidelity_from_snr(snr0 * math.exp(-ti / config.memory.tau_coherence_s))

@@ -47,19 +47,6 @@ class Histogram:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def add(self, other: "Histogram") -> "Histogram":
-        """In-place merge; commutative in the counts."""
-        if (
-            other.bin_width_s != self.bin_width_s
-            or other.origin_s != self.origin_s
-            or other.counts.size != self.counts.size
-        ):
-            raise ValueError("histogram grids do not match")
-        self.counts += other.counts
-        self.duration_accumulated_s += other.duration_accumulated_s
-        self.n_trials += other.n_trials
-        return self
-
     def to_csv(self, path) -> None:
         with open(path, "w") as f:
             f.write("bin_start_ns,counts\n")
@@ -67,21 +54,3 @@ class Histogram:
                 start_ns = (self.origin_s + i * self.bin_width_s) * 1e9
                 f.write(f"{start_ns:.4f},{int(c)}\n")
 
-    @classmethod
-    def from_csv(cls, path, duration_accumulated_s=0.0, n_trials=0) -> "Histogram":
-        starts, counts = [], []
-        with open(path) as f:
-            next(f)
-            for line in f:
-                a, b = line.strip().split(",")
-                starts.append(float(a))
-                counts.append(int(b))
-        if len(starts) < 2:
-            raise ValueError(
-                f"{path}: need at least two bins to recover the bin width, "
-                f"found {len(starts)}"
-            )
-        starts = np.asarray(starts) * 1e-9
-        width = float(starts[1] - starts[0])
-        return cls(width, np.asarray(counts), float(starts[0]),
-                   duration_accumulated_s, n_trials)

@@ -4,12 +4,9 @@ rate built from these parameters live in `simulate`, next to the sampler."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .optics import CavitySpec
-
-FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))  # 1/2.3548
+from .optics import FWHM_TO_SIGMA, CavitySpec
 
 
 def _check_fraction(name: str, value: float, allow_zero: bool = False) -> None:

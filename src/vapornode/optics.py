@@ -9,12 +9,13 @@ resonance is below 1%.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 # Transform-limited Gaussian time-bandwidth product (intensity FWHMs).
 GAUSSIAN_TBP = 2.0 * math.log(2.0) / math.pi
+FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))  # 1/2.3548
 
 
 @dataclass(frozen=True)
@@ -52,12 +53,15 @@ class FilterCascade:
 def cavity_transmission(cavity: CavitySpec, detuning_hz: float):
     """Single-pass intensity transmission T = 1 / (1 + (2 d'/fwhm)^2).
 
-    The detuning is wrapped into (-fsr/2, fsr/2] so resonances repeat with
-    the free spectral range.  Accepts scalars or arrays.
+    The detuning is wrapped to within fsr/2 of a resonance, exactly at any
+    finite detuning (fmod is exact).  Accepts scalars or arrays.
     """
     d = np.asarray(detuning_hz, dtype=float) - cavity.center_detuning_hz
-    wrapped = d - cavity.fsr_hz * np.round(d / cavity.fsr_hz)
-    t = 1.0 / (1.0 + (2.0 * wrapped / cavity.fwhm_hz) ** 2)
+    # fmod is slow on arrays; skip it where it changes nothing
+    if d.ndim == 0 or np.abs(d).max(initial=0.0) >= cavity.fsr_hz:
+        d = np.fmod(d, cavity.fsr_hz)
+    r = d - cavity.fsr_hz * np.round(d / cavity.fsr_hz)
+    t = 1.0 / (1.0 + (2.0 * r / cavity.fwhm_hz) ** 2)
     return t if t.ndim else float(t)
 
 
@@ -84,11 +88,14 @@ def cascade_effective_fwhm(cascade: FilterCascade) -> float:
     half-transmission point.  For N identical co-centered Lorentzian passes
     this equals fwhm * sqrt(2^(1/N) - 1)."""
 
+    # relative response: ignore each stage's center offset
+    stages = [(replace(cavity, center_detuning_hz=0.0), passes)
+              for cavity, passes in cascade.stages]
+
     def resp(d):
         t = 1.0
-        for cavity, passes in cascade.stages:
-            # relative response, ignore center offsets' absolute position
-            t *= (1.0 / (1.0 + (2.0 * d / cavity.fwhm_hz) ** 2)) ** passes
+        for cavity, passes in stages:
+            t *= cavity_transmission(cavity, d) ** passes
         return t
 
     lo, hi = 0.0, max(c.fwhm_hz for c, _ in cascade.stages)
@@ -96,6 +103,8 @@ def cascade_effective_fwhm(cascade: FilterCascade) -> float:
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # converged: no later step changes lo or hi
+            break
         if resp(mid) > 0.5:
             lo = mid
         else:
@@ -150,7 +159,7 @@ def gaussian_pulse(fwhm_t_s: float, dt_s: float, span_s: float) -> PulseShape:
         raise ValueError(f"span {span_s} too short, need span > 4 fwhm")
     n = int(round(span_s / dt_s))
     t = (np.arange(n) - (n - 1) / 2.0) * dt_s
-    sigma_i = fwhm_t_s / math.sqrt(8.0 * math.log(2.0))  # intensity std
+    sigma_i = fwhm_t_s * FWHM_TO_SIGMA  # intensity std
     amp = np.exp(-(t**2) / (4.0 * sigma_i**2))
     return PulseShape(amp, dt_s, t0_s=float(t[0]))
 
@@ -215,16 +224,3 @@ def temporal_fwhm(pulse: PulseShape) -> float:
     """FWHM of the intensity profile samples^2."""
     return fwhm_of(pulse.times_s, pulse.samples**2)
 
-
-def pulse_to_csv(pulse: PulseShape, path) -> None:
-    with open(path, "w") as f:
-        f.write("time_ns,amplitude\n")
-        for t, a in zip(pulse.times_s, pulse.samples):
-            f.write(f"{t * 1e9:.6f},{a:.9g}\n")
-
-
-def spectrum_to_csv(spec: Spectrum, path) -> None:
-    with open(path, "w") as f:
-        f.write("frequency_mhz,power_density\n")
-        for nu, p in zip(spec.frequencies_hz, spec.power_density):
-            f.write(f"{nu * 1e-6:.6f},{p:.9g}\n")

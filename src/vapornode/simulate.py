@@ -25,7 +25,7 @@ import numpy as np
 from . import states
 from .config import NodeConfig
 from .histograms import Histogram
-from .models import FWHM_TO_SIGMA
+from .optics import FWHM_TO_SIGMA
 
 BLOCK_SIZE = 1 << 16
 
@@ -68,7 +68,9 @@ def _delay_key(extra_storage_s: float) -> int:
 
 
 def _block_rng(seed: int, condition_id: int, block_index: int) -> np.random.Generator:
-    bitgen = np.random.Philox(key=(seed & (2**64 - 1), condition_id))
+    # uint64 key: a tuple key goes through float outside [0, 2**63)
+    key = np.array([seed & (2**64 - 1), condition_id], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
     return np.random.Generator(bitgen.jumped(block_index))
 
 
@@ -332,7 +334,6 @@ def run_source(config: NodeConfig, condition: str, n_trials: int,
 class TomographyCounts:
     settings: list
     counts: np.ndarray
-    live_time_s: float
     triggers_per_setting: np.ndarray
     informationally_complete: bool
 
@@ -384,16 +385,7 @@ def run_tomography(
     return TomographyCounts(
         settings=list(settings),
         counts=counts,
-        live_time_s=duration_per_setting_s * len(settings),
         triggers_per_setting=triggers,
         informationally_complete=_settings_complete(settings),
     )
 
-
-def write_event_dump(path, trial_idx, tags, condition: str,
-                     tag_resolution_s: float) -> None:
-    """Line format: trial_index<TAB>condition<TAB>timestamp_ps."""
-    ps_per_tag = tag_resolution_s / 1e-12
-    with open(path, "w") as f:
-        for i, tag in zip(trial_idx, tags):
-            f.write(f"{int(i)}\t{condition}\t{int(round(tag * ps_per_tag))}\n")

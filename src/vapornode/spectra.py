@@ -12,12 +12,24 @@ detuning d_N = pairing_sum - d_T.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .optics import CavitySpec, cavity_transmission
+from .optics import FWHM_TO_SIGMA, CavitySpec, cavity_transmission
+
+# heralding integrals: telecom band and grid, and a double-passed cavity,
+# which tames the Lorentzian tails that would wash out the survival structure
+_HERALD_BAND_HZ = 8e9
+_HERALD_GRID = 4001
+_PASSES = 2
+_SCAN_POINTS = 701  # operating-point candidates
+
+
+def _as_tuples(obj, *names):
+    """Freeze sequence fields so every model is hashable (and cacheable)."""
+    for name in names:
+        object.__setattr__(obj, name, tuple(getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -39,7 +51,7 @@ class AbsorptionFeature:
 
     def attenuation(self, detuning_hz):
         d = np.asarray(detuning_hz, dtype=float) - self.center_hz
-        sigma = self.width_hz / math.sqrt(8.0 * math.log(2.0))
+        sigma = self.width_hz * FWHM_TO_SIGMA
         return 1.0 - self.depth * np.exp(-(d**2) / (2.0 * sigma**2))
 
 
@@ -52,6 +64,7 @@ class PathwaySpectrumModel:
     doppler_fwhm_hz: float
 
     def __post_init__(self):
+        _as_tuples(self, "pathway_centers_hz", "pathway_weights")
         if len(self.pathway_centers_hz) != 2 or len(self.pathway_weights) != 2:
             raise ValueError("exactly two pathways expected")
         w1, w2 = self.pathway_weights
@@ -62,7 +75,7 @@ class PathwaySpectrumModel:
 
     def bare_spectrum(self, detuning_hz):
         d = np.asarray(detuning_hz, dtype=float)
-        sigma = self.doppler_fwhm_hz / math.sqrt(8.0 * math.log(2.0))
+        sigma = self.doppler_fwhm_hz * FWHM_TO_SIGMA
         s = 0.0
         for c, w in zip(self.pathway_centers_hz, self.pathway_weights):
             s = s + w * np.exp(-((d - c) ** 2) / (2.0 * sigma**2))
@@ -79,6 +92,7 @@ class JointSpectralModel:
     nir_baseline_survival: float = 1.0
 
     def __post_init__(self):
+        _as_tuples(self, "features")
         if not 0.0 < self.nir_baseline_survival <= 1.0:
             raise ValueError("nir_baseline_survival must be in (0, 1]")
 
@@ -103,21 +117,12 @@ def telecom_spectrum(model: JointSpectralModel, detuning_hz):
     return s
 
 
-def _cached(fn, *args):
-    """fn(*args) through its cache; a model with unhashable fields (say a
-    list of centers) is computed without it."""
-    try:
-        return fn(*args)
-    except TypeError:
-        return fn.__wrapped__(*args)
-
-
 @functools.lru_cache(maxsize=16)
-def _herald_grid(model: JointSpectralModel, band_hz: float, n_grid: int):
+def _herald_grid(model: JointSpectralModel):
     """Everything in the heralding integrals that does not depend on the
     cavity: (nu, s_tel(nu), integral of s_tel, NIR survival at the paired
     detuning).  The arrays are shared between calls, so read-only."""
-    nu = np.linspace(-band_hz / 2.0, band_hz / 2.0, n_grid)
+    nu = np.linspace(-_HERALD_BAND_HZ / 2.0, _HERALD_BAND_HZ / 2.0, _HERALD_GRID)
     s = telecom_spectrum(model, nu)
     surv = model.nir_survival(model.paired_nir_detuning(nu))
     for a in (nu, s, surv):
@@ -129,24 +134,19 @@ def heralding_vs_cavity_detuning(
     model: JointSpectralModel,
     cavity: CavitySpec,
     cavity_detuning_hz: float,
-    band_hz: float = 8e9,
-    n_grid: int = 4001,
-    passes: int = 2,
 ):
     """(heralding efficiency, relative rate) for one cavity position.
 
-    rate = integral of T_cav(nu - d_c)^passes s_tel(nu); the efficiency
-    weights the same integrand with the survival of the paired NIR photon.
-    The heralding filter is double-passed by default, which tames the
-    Lorentzian tails that would otherwise wash out the survival structure.
-    Only the cavity factor is computed per call; the rest is built once per
-    (model, band, grid).
+    rate = integral of T_cav(nu - d_c)^passes s_tel(nu) over the heralding
+    band; the efficiency weights the same integrand with the survival of the
+    paired NIR photon.  Only the cavity factor is computed per call; the
+    rest is built once per model.
     """
-    nu, s, s_total, surv = _cached(_herald_grid, model, band_hz, n_grid)
+    nu, s, s_total, surv = _herald_grid(model)
     # cavity_detuning_hz is the absolute cavity position; ignore any center
     # baked into the spec so scans do not double-shift
     recentered = replace(cavity, center_detuning_hz=0.0)
-    t = cavity_transmission(recentered, nu - cavity_detuning_hz) ** passes
+    t = cavity_transmission(recentered, nu - cavity_detuning_hz) ** _PASSES
     ts = t * s
     rate = float(np.trapezoid(ts, nu))
     if rate <= 1e-30 * s_total:
@@ -165,6 +165,7 @@ class MemoryAcceptanceModel:
     linewidth_hz: float
 
     def __post_init__(self):
+        _as_tuples(self, "hyperfine_centers_hz", "amplitudes")
         if len(self.hyperfine_centers_hz) != 2 or len(self.amplitudes) != 2:
             raise ValueError("exactly two hyperfine pathways expected")
         if self.linewidth_hz <= 0:
@@ -205,7 +206,7 @@ def _acceptance_peak(model: MemoryAcceptanceModel):
 def memory_efficiency_vs_detuning(model: MemoryAcceptanceModel, detuning_hz):
     """Relative storage efficiency, normalized to unit peak over the band
     spanning both hyperfine lines."""
-    out = model.raw_response(detuning_hz) / _cached(_acceptance_peak, model)
+    out = model.raw_response(detuning_hz) / _acceptance_peak(model)
     return out if np.ndim(detuning_hz) else float(out)
 
 
@@ -214,21 +215,16 @@ def select_operating_point(
     cavity: CavitySpec,
     memory_model: MemoryAcceptanceModel,
     scan_band_hz: float = 7e9,
-    n_scan: int = 701,
 ) -> float:
-    """Cavity detuning maximizing eta * rate * memory acceptance at the
-    paired NIR detuning.  Ties break toward smaller |detuning|."""
-    candidates = np.linspace(-scan_band_hz / 2.0, scan_band_hz / 2.0, n_scan)
+    """Cavity detuning maximizing operating_point_score over the scanned
+    band.  Ties break toward smaller |detuning|."""
+    candidates = np.linspace(-scan_band_hz / 2.0, scan_band_hz / 2.0, _SCAN_POINTS)
     best = None
     for dc in sorted(candidates, key=abs):
         try:
-            eta, rate = heralding_vs_cavity_detuning(model, cavity, dc)
+            score = operating_point_score(model, cavity, memory_model, dc)
         except ValueError:
             continue
-        mem = memory_efficiency_vs_detuning(
-            memory_model, model.paired_nir_detuning(dc)
-        )
-        score = eta * rate * mem
         if best is None or score > best[0] * (1.0 + 1e-12):
             best = (score, dc)
     if best is None:
@@ -237,6 +233,7 @@ def select_operating_point(
 
 
 def operating_point_score(model, cavity, memory_model, cavity_detuning_hz) -> float:
+    """eta * rate * memory acceptance at the paired NIR detuning."""
     eta, rate = heralding_vs_cavity_detuning(model, cavity, cavity_detuning_hz)
     mem = memory_efficiency_vs_detuning(
         memory_model, model.paired_nir_detuning(cavity_detuning_hz)

@@ -89,16 +89,11 @@ def _neg_log_likelihood(params, counts, projectors):
     return float(np.sum(mu - counts * np.log(mu)))
 
 
-def mle_tomography(
-    counts,
-    settings=None,
-    target=None,
-    max_iterations: int = 2000,
-) -> TomographyResult:
+def mle_tomography(counts, settings=None) -> TomographyResult:
     """Reconstruct the state behind a set of projective coincidence counts.
 
     counts: non-negative integers, one per setting.  The default settings
-    and target are the 16 product projections and |Phi+>.
+    are the 16 product projections; the fidelity is to |Phi+>.
     """
     if settings is None:
         settings = states.tomography_settings()
@@ -109,9 +104,6 @@ def mle_tomography(
         raise ValueError("counts must be non-negative")
     if counts.sum() <= 0:
         raise ValueError("total counts must be > 0")
-    if target is None:
-        target = states.bell_phi_plus()
-
     projectors = np.stack([s.joint() for s in settings])
     x0 = _rho_to_params(linear_inversion(counts, settings))
     result = minimize(
@@ -119,7 +111,7 @@ def mle_tomography(
         x0,
         args=(counts, projectors),
         method="L-BFGS-B",
-        options={"maxiter": max_iterations, "gtol": 1e-8, "ftol": 1e-14},
+        options={"maxiter": 2000, "gtol": 1e-8, "ftol": 1e-14},
     )
     # keep the better of init and final iterate; the optimizer already
     # guarantees monotone improvement, this is belt and braces
@@ -130,7 +122,7 @@ def mle_tomography(
     rho = (rho + rho.conj().T) / 2.0
     return TomographyResult(
         rho=rho,
-        fidelity_to_target=states.fidelity(rho, target),
+        fidelity_to_target=states.fidelity(rho, states.bell_phi_plus()),
         log_likelihood=-float(result.fun),
         converged=bool(result.success),
         iterations=int(result.nit),

@@ -113,10 +113,14 @@ def test_storage_efficiency_ratio_and_transmissions():
     assert analysis.internal_storage_efficiency(mem, inp, spec) == pytest.approx(
         0.30
     )
-    # retrieved path sees half the transmission of the input path
-    assert analysis.internal_storage_efficiency(
-        mem, inp, spec, transmissions=0.5
-    ) == pytest.approx(0.60)
+    # both per trial: halving the input flux, or the memory run's trial
+    # count, doubles the ratio
+    half = _peaked(signal=200, floor=0, peak_bin=5)
+    assert analysis.internal_storage_efficiency(mem, half, spec) == (
+        pytest.approx(0.60))
+    fewer = Histogram(mem.bin_width_s, mem.counts, mem.origin_s, 0.0, 500)
+    assert analysis.internal_storage_efficiency(fewer, inp, spec) == (
+        pytest.approx(0.60))
 
 
 def test_storage_efficiency_noise_region_clipping():
@@ -148,12 +152,17 @@ def test_storage_efficiency_rejects_empty_input():
 
 def test_mean_photon_number():
     h = _hist(np.array([320]), n_trials=1000)
-    assert analysis.mean_photon_number(h, 1.0, 1.0, 1000) == pytest.approx(0.32)
-    assert analysis.mean_photon_number(h, 0.5, 0.64, 1000) == pytest.approx(1.0)
+    assert analysis.mean_photon_number(h, 1.0, 1.0) == pytest.approx(0.32)
+    assert analysis.mean_photon_number(h, 0.5, 0.64) == pytest.approx(1.0)
+    # the trial count comes from the histogram
+    assert analysis.mean_photon_number(
+        _hist(np.array([320]), n_trials=500), 1.0, 1.0) == pytest.approx(0.64)
     with pytest.raises(ValueError):
-        analysis.mean_photon_number(h, 0.0, 0.5, 1000)
+        analysis.mean_photon_number(h, 0.0, 0.5)
     with pytest.raises(ValueError):
-        analysis.mean_photon_number(h, 0.5, 1.5, 1000)
+        analysis.mean_photon_number(h, 0.5, 1.5)
+    with pytest.raises(ValueError, match="trial count"):
+        analysis.mean_photon_number(_hist([320], n_trials=0), 1.0, 1.0)
 
 
 def test_fit_exponential_exact():

@@ -11,7 +11,7 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from vapornode import cli
-from vapornode.config import ConfigError, dump_config, load_config
+from vapornode.config import ConfigError, load_config
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +24,14 @@ def _write(tmp_path, data, name="cfg.yaml"):
     with open(path, "w") as f:
         yaml.safe_dump(data, f)
     return str(path)
+
+
+def _set(data, key, value):
+    """Set a dotted key in a raw config mapping."""
+    *parents, leaf = key.split(".")
+    for name in parents:
+        data = data[name]
+    data[leaf] = value
 
 
 def test_defaults_load():
@@ -51,11 +59,7 @@ _UNKNOWN_KEYS = {
 @pytest.mark.parametrize("key", list(_UNKNOWN_KEYS))
 def test_unknown_key_rejected(tmp_path, raw, capsys, key):
     data = copy.deepcopy(raw)
-    *parents, leaf = key.split(".")
-    section = data
-    for name in parents:
-        section = section[name]
-    section[leaf] = _UNKNOWN_KEYS[key]
+    _set(data, key, _UNKNOWN_KEYS[key])
     path = _write(tmp_path, data, "old.yaml")
     with pytest.raises(ConfigError, match=re.escape(f"unknown key: {key}")):
         load_config(path)
@@ -87,9 +91,7 @@ def test_invalid_value_becomes_config_error(tmp_path, raw):
 
 def test_config_hash_stable_under_key_order(tmp_path, raw):
     cfg = load_config()
-    path = tmp_path / "dumped.yaml"
-    dump_config(cfg, path)  # sorted keys on output
-    again = load_config(str(path))
+    again = load_config(_write(tmp_path, cfg.raw))  # sorted keys on output
     assert again.config_hash() == cfg.config_hash()
 
 
@@ -103,6 +105,37 @@ def test_empty_malformed_or_non_mapping_yaml_rejected(tmp_path, text):
         load_config(str(path))
     with pytest.raises(ConfigError):
         load_config(str(path), overrides={"seed": 3})
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("spectra.pathway_weights", ["a", "b"], "spectra.pathway_weights[0]"),
+    ("spectra.memory_acceptance.hyperfine_centers_ghz", ["x", 0.408],
+     "spectra.memory_acceptance.hyperfine_centers_ghz[0]"),
+    ("spectra.memory_acceptance.amplitudes", [1.0, None],
+     "spectra.memory_acceptance.amplitudes[1]"),
+    ("spectra.pathway_centers_ghz", [-0.408, -math.inf],
+     "spectra.pathway_centers_ghz[1]"),
+    ("analysis.sweep_windows_ns", [math.nan, 1.024],
+     "analysis.sweep_windows_ns[0]"),
+    ("source.telecom_rate_hz", math.inf, "source.telecom_rate_hz"),
+    ("source.telecom_rate_hz", 10**400, "source.telecom_rate_hz"),
+    ("memory.eta0_internal", True, "memory.eta0_internal"),
+    ("memory.tau_coherence_us", math.nan, "memory.tau_coherence_us"),
+    ("filter_cascade.stages", [{"fwhm_ghz": 1.55, "fsr_ghz": math.inf,
+                                "passes": 2}],
+     "filter_cascade.stages[0].fsr_ghz"),
+], ids=["weights-str", "hyperfine-str", "amplitudes-null", "centers-inf",
+        "windows-nan", "rate-inf", "rate-huge-int", "eta-bool", "tau-nan",
+        "stage-inf"])
+def test_bad_numbers_and_list_entries_rejected(tmp_path, raw, capsys, key,
+                                               value, named):
+    data = copy.deepcopy(raw)
+    _set(data, key, value)
+    rc = cli.main(["solo", "--trials", "1000", "--config",
+                   _write(tmp_path, data), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named}:")
 
 
 def test_workers_not_in_hash():
@@ -195,9 +228,12 @@ def test_cli_csv_format(tmp_path):
 def test_cli_outputs_reproducible(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out, workers in ((a, "1"), (b, "4")):
-        rc = cli.main(["source", "--trials", "100000", "--out", str(out),
-                       "--workers", workers])
-        assert rc == 0
+        argv = ["source", "--trials", "100000", "--out", str(out),
+                "--workers", workers]
+        assert cli.main(argv) == 0
+        # the manifest records the arguments given to main, not the host's
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == argv
     assert (a / "hist_memory.csv").read_bytes() == (
         b / "hist_memory.csv"
     ).read_bytes()
@@ -359,3 +395,53 @@ def test_cli_numeric_flags_property(cmd, data):
         if rc == 0:
             for path in Path(tmp).glob("*.csv"):
                 assert "nan" not in path.read_text().lower(), path.name
+
+
+def _paths(node, path=()):
+    """Every mapping key and list entry below node, as a tuple of keys."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+_DEFAULTS = load_config().raw
+_CONFIG_PATHS = list(_paths(_DEFAULTS))
+_MUTANTS = st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, -1, -2.5,
+                            "x", None, True, [], {}])
+_SMALL_RUNS = [
+    ["solo", "--trials", "2000"],
+    ["source", "--trials", "2000"],
+    ["sweep-window", "--trials", "2000"],
+    ["tomography", "--duration", "0.5"],
+    ["utility", "--points", "5"],
+    ["spectral-scan", "--points", "3"],
+    ["filter-design", "--points", "3"],
+]
+
+
+@hyp_settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_config_mutation_property(data):
+    # drop a key or list entry, or write a wrong type, nan, inf, 0 or a
+    # negative value: every command exits with a documented code
+    raw = copy.deepcopy(_DEFAULTS)
+    *parents, leaf = data.draw(st.sampled_from(_CONFIG_PATHS), label="key")
+    node = raw
+    for key in parents:
+        node = node[key]
+    if data.draw(st.booleans(), label="drop"):
+        del node[leaf]
+    else:
+        node[leaf] = data.draw(_MUTANTS, label="value")
+    argv = data.draw(st.sampled_from(_SMALL_RUNS), label="command")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        rc = cli.main(argv + ["--config", str(path), "--out", f"{tmp}/out"])
+    assert rc in (0, 2, 3, 4, 64)

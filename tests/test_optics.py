@@ -38,6 +38,19 @@ def test_cavity_fsr_periodicity_and_symmetry():
         )
 
 
+def test_cavity_wrap_exact_at_huge_detuning():
+    # d - fsr * round(d / fsr) loses the residue once |d| / fsr passes 2**53
+    cascade = _cascade()
+    fsr = _cavity().fsr_hz
+    for d in (5e307, -5e307, 2.5e307, 1e20):
+        residue = math.fmod(d, fsr)
+        db = optics.cascade_suppression_db(cascade, d)
+        assert db == optics.cascade_suppression_db(cascade, residue)
+        assert optics.cascade_transmission(cascade, d) == (
+            optics.cascade_transmission(cascade, residue))
+        assert 0.0 < db < math.inf
+
+
 def _cascade(n_stages=3, passes=2, fwhm_ghz=1.55):
     stages = tuple((_cavity(fwhm_ghz), passes) for _ in range(n_stages))
     return optics.FilterCascade(stages=stages, broadband_transmission=0.35)
@@ -176,12 +189,3 @@ def test_pulse_shape_invariants():
     with pytest.raises(ValueError):
         optics.PulseShape(np.zeros(32), 1e-10)  # zero energy
 
-
-def test_csv_export(tmp_path):
-    pulse = optics.gaussian_pulse(2.0e-9, 0.05e-9, 30e-9)
-    optics.pulse_to_csv(pulse, tmp_path / "p.csv")
-    optics.spectrum_to_csv(optics.spectrum_of(pulse), tmp_path / "s.csv")
-    header = (tmp_path / "p.csv").read_text().splitlines()[0]
-    assert header == "time_ns,amplitude"
-    header = (tmp_path / "s.csv").read_text().splitlines()[0]
-    assert header == "frequency_mhz,power_density"

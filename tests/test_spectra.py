@@ -185,12 +185,12 @@ def test_operating_point_near_expected(cfg):
     assert abs(best - 1.1e9) < 0.3e9
 
 
-def _heralding_reference(model, cavity, dc, band_hz=8e9, n_grid=4001,
-                         passes=2):
-    """The heralding integrals computed inline, with no shared grid."""
-    nu = np.linspace(-band_hz / 2.0, band_hz / 2.0, n_grid)
+def _heralding_reference(model, cavity, dc):
+    """The heralding integrals computed inline, with no shared grid: an
+    8 GHz band on 4001 points, double-passed."""
+    nu = np.linspace(-4e9, 4e9, 4001)
     recentered = dataclasses.replace(cavity, center_detuning_hz=0.0)
-    t = cavity_transmission(recentered, nu - dc) ** passes
+    t = cavity_transmission(recentered, nu - dc) ** 2
     s = spectra.telecom_spectrum(model, nu)
     rate = float(np.trapezoid(t * s, nu))
     surv = model.nir_survival(model.paired_nir_detuning(nu))
@@ -198,18 +198,16 @@ def _heralding_reference(model, cavity, dc, band_hz=8e9, n_grid=4001,
     return min(max(eta, 0.0), 1.0), rate
 
 
-@pytest.mark.parametrize("grid", [{}, {"band_hz": 5e9, "n_grid": 1001,
-                                       "passes": 3}])
-def test_heralding_matches_uncached_reference(cfg, grid):
+def test_heralding_matches_uncached_reference(cfg):
     model, cav = cfg.spectral_model, cfg.source.telecom_cavity
     for _ in range(2):  # the second pass reads the cached grid
         for dc in (-2.3e9, 0.0, 0.92e9, 1.1e9):
-            got = spectra.heralding_vs_cavity_detuning(model, cav, dc, **grid)
-            assert got == _heralding_reference(model, cav, dc, **grid)
+            got = spectra.heralding_vs_cavity_detuning(model, cav, dc)
+            assert got == _heralding_reference(model, cav, dc)
 
 
 def test_cached_grids_read_only(cfg):
-    nu, s, _, surv = spectra._herald_grid(cfg.spectral_model, 8e9, 4001)
+    nu, s, _, surv = spectra._herald_grid(cfg.spectral_model)
     for a in (nu, s, surv):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -235,15 +233,24 @@ def test_cache_tells_models_apart(cfg):
     )
 
 
-def test_unhashable_model_is_computed_uncached(cfg):
+def test_list_fields_become_hashable_tuples(cfg):
+    # models built from lists equal (and hash like) the tuple-built ones, so
+    # they share the cached grids
     base, cav = cfg.spectral_model, cfg.source.telecom_cavity
     pw = base.pathways
-    listed = dataclasses.replace(base, pathways=spectra.PathwaySpectrumModel(
-        list(pw.pathway_centers_hz), list(pw.pathway_weights),
-        pw.doppler_fwhm_hz))
+    listed = spectra.JointSpectralModel(
+        spectra.PathwaySpectrumModel(list(pw.pathway_centers_hz),
+                                     list(pw.pathway_weights),
+                                     pw.doppler_fwhm_hz),
+        list(base.features), base.pairing_sum_hz, base.nir_baseline_survival)
+    assert listed == base and hash(listed) == hash(base)
     assert spectra.heralding_vs_cavity_detuning(listed, cav, 1.1e9) == (
         spectra.heralding_vs_cavity_detuning(base, cav, 1.1e9)
     )
+    mem = cfg.memory_acceptance
+    listed_mem = spectra.MemoryAcceptanceModel(
+        list(mem.hyperfine_centers_hz), list(mem.amplitudes), mem.linewidth_hz)
+    assert listed_mem == mem and hash(listed_mem) == hash(mem)
 
 
 def test_memory_curve_far_detuning_is_zero(cfg):

@@ -90,12 +90,6 @@ def test_input_validation():
         tomography.mle_tomography(np.zeros(16))
 
 
-def test_custom_target():
-    counts = _counts_for(states.maximally_mixed())
-    res = tomography.mle_tomography(counts, target=states.maximally_mixed())
-    assert res.fidelity_to_target > 0.999
-
-
 def test_result_serializes():
     res = tomography.mle_tomography(_counts_for(states.werner_state(0.5)))
     d = res.to_json_dict()
