@@ -119,10 +119,10 @@ class _Section:
         self.seen.add(name)
         return _typed(self.data[name], kind, self._key(name))
 
-    def get_list(self, name, kind=float) -> tuple:
-        """A list whose entries are each checked like a scalar of `kind`."""
+    def get_list(self, name) -> tuple:
+        """A list whose entries are each checked like a float scalar."""
         key = self._key(name)
-        return tuple(_typed(v, kind, f"{key}[{i}]")
+        return tuple(_typed(v, float, f"{key}[{i}]")
                      for i, v in enumerate(self.get(name, list)))
 
     def section(self, name):

@@ -27,7 +27,7 @@ class CavitySpec:
     center_detuning_hz: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.fwhm_hz < self.fsr_hz:
+        if not (0.0 < self.fwhm_hz < self.fsr_hz and math.isfinite(self.fsr_hz)):
             raise ValueError(
                 f"need 0 < fwhm < fsr, got fwhm={self.fwhm_hz}, fsr={self.fsr_hz}"
             )
@@ -58,7 +58,7 @@ def cavity_transmission(cavity: CavitySpec, detuning_hz: float):
     """
     d = np.asarray(detuning_hz, dtype=float) - cavity.center_detuning_hz
     # fmod is slow on arrays; skip it where it changes nothing
-    if d.ndim == 0 or np.abs(d).max(initial=0.0) >= cavity.fsr_hz:
+    if np.abs(d).max(initial=0.0) >= cavity.fsr_hz:
         d = np.fmod(d, cavity.fsr_hz)
     r = d - cavity.fsr_hz * np.round(d / cavity.fsr_hz)
     t = 1.0 / (1.0 + (2.0 * r / cavity.fwhm_hz) ** 2)
@@ -98,9 +98,9 @@ def cascade_effective_fwhm(cascade: FilterCascade) -> float:
             t *= cavity_transmission(cavity, d) ** passes
         return t
 
-    lo, hi = 0.0, max(c.fwhm_hz for c, _ in cascade.stages)
-    while resp(hi) > 0.5:
-        hi *= 2.0
+    # every stage falls monotonically below 1/2 on [0, its fsr/2] (fwhm < fsr);
+    # past the smallest fsr/2 lie the next orders of the periodized response
+    lo, hi = 0.0, 0.5 * min(c.fsr_hz for c, _ in cascade.stages)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # converged: no later step changes lo or hi

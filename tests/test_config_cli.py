@@ -138,6 +138,16 @@ def test_bad_numbers_and_list_entries_rejected(tmp_path, raw, capsys, key,
     assert err.startswith(f"config error: {named}:")
 
 
+def test_unit_scale_overflow_rejected(tmp_path, raw, capsys):
+    # 1e300 GHz is a finite config number whose value in Hz is not
+    data = copy.deepcopy(raw)
+    data["filter_cascade"]["stages"][0]["fsr_ghz"] = 1.0e300
+    rc = cli.main(["filter-design", "--config", _write(tmp_path, data),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "fsr=inf" in capsys.readouterr().err
+
+
 def test_workers_not_in_hash():
     one = load_config(overrides={"workers": 1})
     two = load_config(overrides={"workers": 2})

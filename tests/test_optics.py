@@ -15,6 +15,8 @@ def _cavity(fwhm_ghz=1.55, fsr_ghz=60.2, center_ghz=0.0):
 def test_cavity_spec_invariant():
     with pytest.raises(ValueError):
         optics.CavitySpec(fwhm_hz=2e9, fsr_hz=1e9)
+    with pytest.raises(ValueError):
+        optics.CavitySpec(fwhm_hz=2e9, fsr_hz=math.inf)
 
 
 def test_cavity_transmission_values():
@@ -89,6 +91,14 @@ def test_cascade_effective_fwhm_closed_form():
     )
     assert optics.cascade_effective_fwhm(two_pass_1ghz) == pytest.approx(
         0.6436e9, rel=1e-3
+    )
+    # low finesse: the half-maximum point must be sought within fsr/2, not
+    # on the next order of the periodized response
+    low_finesse = optics.FilterCascade(
+        stages=((optics.CavitySpec(25.0e9, 30.1e9), 2),)
+    )
+    assert optics.cascade_effective_fwhm(low_finesse) == pytest.approx(
+        25.0e9 * math.sqrt(math.sqrt(2.0) - 1.0), rel=1e-9
     )
 
 
