@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .histograms import Histogram
 from .states import fidelity_from_snr
@@ -155,6 +154,12 @@ class ExponentialFit:
 def fit_exponential(t, y, sigma=None) -> ExponentialFit:
     """Fit y = A exp(-t/tau) by weighted least squares on log y, refined with
     a direct nonlinear fit.  Non-positive y points are excluded with a count.
+
+    The nonlinear fit uses variable projection (Golub & Pereyra, SIAM J.
+    Numer. Anal. 10, 413, 1973): A is closed-form for each tau, and the
+    stationary point of the projected residual in log tau is bracketed from
+    the log-linear estimate and bisected.  The covariance comes from the
+    Jacobian, scaled by chi^2/dof when sigma is not given.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -178,27 +183,61 @@ def fit_exponential(t, y, sigma=None) -> ExponentialFit:
     lm = (wts * np.log(y)).sum() / sw
     denom = (wts * (t - tm) ** 2).sum()
     slope = (wts * (t - tm) * (np.log(y) - lm)).sum() / denom
-    if slope >= 0:
-        return ExponentialFit(
-            amplitude=float(np.exp(lm)),
-            tau_s=math.inf,
-            tau_sigma_s=math.inf,
-            non_decaying=True,
-            excluded_points=excluded,
-        )
-    a0, tau0 = float(np.exp(lm + slope * tm)), -1.0 / slope
-
-    def model(tt, a, tau):
-        return a * np.exp(-tt / tau)
-
-    popt, pcov = curve_fit(
-        model, t, y, p0=(a0, tau0), sigma=sig, absolute_sigma=sig is not None,
-        maxfev=10000,
+    non_decaying = ExponentialFit(
+        amplitude=float(np.exp(lm)),
+        tau_s=math.inf,
+        tau_sigma_s=math.inf,
+        non_decaying=True,
+        excluded_points=excluded,
     )
+    if slope >= 0:
+        return non_decaying
+
+    w = np.ones_like(y) if sig is None else 1.0 / sig**2
+
+    def amplitude(s):
+        e = np.exp(-t / math.exp(s))
+        return (w * e * y).sum() / (w * e * e).sum(), e
+
+    def descending(s):
+        # True while the projected residual still falls as log tau grows
+        a, e = amplitude(s)
+        return (w * e * t * (y - a * e)).sum() > 0.0
+
+    # bracket the minimum from the log-linear estimate, doubling the step;
+    # 50 e-folds away exp(-t/tau) has reached 1 or 0 at every point
+    s0 = lo = hi = math.log(-1.0 / slope)
+    step = 0.5
+    while descending(hi):
+        lo, hi, step = hi, hi + step, 2.0 * step
+        if hi - s0 > 50.0:  # no finite minimum: a constant fits best
+            return non_decaying
+    while lo == hi or not descending(lo):
+        hi, lo, step = lo, lo - step, 2.0 * step
+        if s0 - lo > 50.0:
+            raise ValueError("no finite decay time fits the data")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # converged: no later step changes lo or hi
+            break
+        if descending(mid):
+            lo = mid
+        else:
+            hi = mid
+    s = 0.5 * (lo + hi)
+    a, e = amplitude(s)
+    tau = math.exp(s)
+
+    # covariance of (A, log tau) from the weighted Jacobian
+    ja, js = e, a * e * t / tau
+    faa, fas, fss = (w * ja * ja).sum(), (w * ja * js).sum(), (w * js * js).sum()
+    var_s = faa / (faa * fss - fas * fas)
+    if sig is None:
+        var_s *= (w * (y - a * e) ** 2).sum() / (t.size - 2)
     return ExponentialFit(
-        amplitude=float(popt[0]),
-        tau_s=float(popt[1]),
-        tau_sigma_s=float(np.sqrt(pcov[1, 1])),
+        amplitude=float(a),
+        tau_s=tau,
+        tau_sigma_s=tau * math.sqrt(var_s),
         excluded_points=excluded,
     )
 

@@ -214,12 +214,18 @@ def storage_time_scan(
 
 def predicted_window_snr(config: NodeConfig, mode: str,
                          extra_storage_s: float = 0.0) -> float:
-    """Model SNR in the peak-centered signal window, no Monte Carlo."""
+    """Model SNR in the peak-centered signal window, no Monte Carlo.
+
+    Without background the SNR is unbounded (inf), or 0 with no signal
+    either.
+    """
     w = config.analysis.signal_window_s
     signal = simulate.detected_signal_probability(
         config, mode, extra_storage_s
     ) * simulate.window_capture(config, w)
     noise = simulate.noise_rate_hz(config) * w
+    if noise == 0:
+        return math.inf if signal > 0 else 0.0
     return signal / noise
 
 

@@ -3,9 +3,16 @@ coincidence counts.
 
 The state is parameterized as rho = L L^dag / Tr(L L^dag) with L lower
 triangular (16 real parameters), which enforces Hermiticity, positivity and
-unit trace by construction.  The Poisson log-likelihood is maximized with a
-deterministic quasi-Newton optimizer; the overall flux scale is profiled
-out analytically at every evaluation.
+unit trace by construction.  The overall flux scale is profiled out
+analytically, and the Poisson likelihood is maximized on one of two paths:
+
+- exact: with a square, full-rank set of settings (the 16 product settings
+  of James et al., PRA 64, 052312, 2001) the model is saturated, so a
+  strictly positive definite least-squares inversion reproduces the counts
+  and is the maximum-likelihood state; it is returned with no iterations;
+- boundary: otherwise BFGS with Armijo backtracking and the analytic
+  gradient minimizes the negative log-likelihood in the Cholesky
+  parameters, starting from the clipped linear inversion.
 """
 
 from __future__ import annotations
@@ -13,12 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import states
 
 _TRIL_R, _TRIL_C = np.tril_indices(4)
 _OFF = _TRIL_R != _TRIL_C
+_Q_FLOOR = 1e-12  # smallest Born probability the likelihood evaluates
+_MAX_ITERATIONS = 2000
+_GTOL = 1e-9  # largest gradient entry at convergence, per count
+_FTOL = 1e-15  # relative decrease per iteration that counts as converged
 
 
 @dataclass
@@ -39,10 +49,15 @@ class TomographyResult:
         }
 
 
-def _params_to_rho(params: np.ndarray) -> np.ndarray:
+def _params_to_lmat(params: np.ndarray) -> np.ndarray:
     lmat = np.zeros((4, 4), dtype=complex)
     lmat[_TRIL_R, _TRIL_C] = params[:10]
     lmat[_TRIL_R[_OFF], _TRIL_C[_OFF]] += 1j * params[10:]
+    return lmat
+
+
+def _params_to_rho(params: np.ndarray) -> np.ndarray:
+    lmat = _params_to_lmat(params)
     rho = lmat @ lmat.conj().T
     tr = np.real(rho.trace())
     if tr <= 0:
@@ -63,15 +78,24 @@ def _rho_to_params(rho: np.ndarray) -> np.ndarray:
     return params
 
 
-def linear_inversion(counts, settings) -> np.ndarray:
-    """Least-squares state estimate projected onto the PSD cone."""
-    amat = np.stack([s.joint().conj().reshape(-1) for s in settings])
-    total = counts.sum()
-    qsum_guess = len(settings) / 4.0  # rough normalization for product sets
-    target = np.asarray(counts, dtype=float) / max(total / qsum_guess, 1e-12)
+def _design_matrix(settings) -> np.ndarray:
+    return np.stack([s.joint().conj().reshape(-1) for s in settings])
+
+
+def _unclipped_inversion(counts, amat) -> np.ndarray:
+    """Hermitian least-squares solution of amat @ vec(rho) = counts, scaled
+    to a rough unit trace for product sets."""
+    qsum_guess = amat.shape[0] / 4.0
+    target = np.asarray(counts, dtype=float) / max(counts.sum() / qsum_guess,
+                                                   1e-12)
     vec, *_ = np.linalg.lstsq(amat, target, rcond=None)
     rho = vec.reshape(4, 4)
-    rho = (rho + rho.conj().T) / 2.0
+    return (rho + rho.conj().T) / 2.0
+
+
+def linear_inversion(counts, settings) -> np.ndarray:
+    """Least-squares state estimate projected onto the PSD cone."""
+    rho = _unclipped_inversion(np.asarray(counts), _design_matrix(settings))
     lam, v = np.linalg.eigh(rho)
     lam = np.clip(lam, 0.0, None)
     if lam.sum() <= 0:
@@ -80,13 +104,80 @@ def linear_inversion(counts, settings) -> np.ndarray:
     return rho / np.real(rho.trace())
 
 
+def _profiled_nll(rho, counts, projectors):
+    """Negative log-likelihood with the flux profiled out, and its
+    derivative in each setting's Born probability."""
+    q_raw = np.real(np.einsum("kij,ji->k", projectors, rho))
+    q = np.clip(q_raw, _Q_FLOOR, None)
+    total, qsum = counts.sum(), q.sum()
+    mu = (total / qsum) * q  # profiled flux
+    nll = float(np.sum(mu - counts * np.log(mu)))
+    # a clipped probability is constant and passes nothing on
+    dq = np.where(q_raw > _Q_FLOOR, total / qsum - counts / q, 0.0)
+    return nll, dq, q
+
+
 def _neg_log_likelihood(params, counts, projectors):
-    rho = _params_to_rho(params)
-    q = np.real(np.einsum("kij,ji->k", projectors, rho))
-    q = np.clip(q, 1e-12, None)
-    scale = counts.sum() / q.sum()  # profiled flux
-    mu = scale * q
-    return float(np.sum(mu - counts * np.log(mu)))
+    return _profiled_nll(_params_to_rho(params), counts, projectors)[0]
+
+
+def _nll_and_gradient(params, counts, projectors):
+    """_neg_log_likelihood and its gradient in the Cholesky parameters."""
+    lmat = _params_to_lmat(params)
+    m = lmat @ lmat.conj().T
+    tr = np.real(m.trace())
+    if tr <= 0:
+        return _neg_log_likelihood(params, counts, projectors), np.zeros(16)
+    nll, dq, q = _profiled_nll(m / tr, counts, projectors)
+    # d nll = Tr(h dM) / tr for M = L L^dag, and Tr(h dM) = 2 Re Tr(L^dag h dL)
+    h = np.einsum("k,kij->ij", dq, projectors)
+    h[np.diag_indices(4)] -= dq @ q
+    k = (h / tr) @ lmat
+    grad = np.empty(16)
+    grad[:10] = 2.0 * np.real(k[_TRIL_R, _TRIL_C])
+    grad[10:] = 2.0 * np.imag(k[_TRIL_R[_OFF], _TRIL_C[_OFF]])
+    return nll, grad
+
+
+def _bfgs(fun, x0, gtol: float):
+    """Minimize fun (returning value and gradient) by BFGS on the inverse
+    Hessian with Armijo backtracking.  Returns (x, f, converged,
+    iterations)."""
+    x = x0
+    f, g = fun(x)
+    hinv = None  # no curvature pair yet
+    for it in range(1, _MAX_ITERATIONS + 1):
+        if np.abs(g).max() <= gtol:
+            return x, f, True, it - 1
+        p = None if hinv is None else -hinv @ g
+        if p is None or g @ p >= 0:
+            # steepest descent, 0.1 long (a unit-trace state has |params| = 1)
+            hinv = None
+            p = -0.1 * g / np.linalg.norm(g)
+        slope = g @ p
+        alpha = 1.0
+        for _ in range(60):
+            x_new = x + alpha * p
+            f_new, g_new = fun(x_new)
+            if f_new <= f + 1e-4 * alpha * slope:
+                break
+            alpha *= 0.5
+        else:  # no decrease left at working precision
+            return x, f, True, it - 1
+        s, y = x_new - x, g_new - g
+        decrease = f - f_new
+        x, f, g = x_new, f_new, g_new
+        if decrease <= _FTOL * max(abs(f), 1.0):
+            return x, f, True, it
+        sy = s @ y
+        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+            if hinv is None:  # the usual y.s / y.y scaling of the identity
+                hinv = np.eye(x.size) * (sy / (y @ y))
+            r = 1.0 / sy
+            hy = hinv @ y
+            hinv = (hinv - r * (np.outer(s, hy) + np.outer(hy, s))
+                    + (r * r * (y @ hy) + r) * np.outer(s, s))
+    return x, f, False, _MAX_ITERATIONS
 
 
 def mle_tomography(counts, settings=None) -> TomographyResult:
@@ -105,27 +196,31 @@ def mle_tomography(counts, settings=None) -> TomographyResult:
     if counts.sum() <= 0:
         raise ValueError("total counts must be > 0")
     projectors = np.stack([s.joint() for s in settings])
-    x0 = _rho_to_params(linear_inversion(counts, settings))
-    result = minimize(
-        _neg_log_likelihood,
-        x0,
-        args=(counts, projectors),
-        method="L-BFGS-B",
-        options={"maxiter": 2000, "gtol": 1e-8, "ftol": 1e-14},
-    )
-    # keep the better of init and final iterate; the optimizer already
-    # guarantees monotone improvement, this is belt and braces
-    best = result.x
-    if _neg_log_likelihood(x0, counts, projectors) < result.fun:
-        best = x0
-    rho = _params_to_rho(best)
-    rho = (rho + rho.conj().T) / 2.0
+    amat = _design_matrix(settings)
+    rho_ls = _unclipped_inversion(counts, amat)
+
+    if (amat.shape == (16, 16) and np.linalg.matrix_rank(amat) == 16
+            and np.linalg.eigvalsh(rho_ls).min() > 0):
+        # saturated model: this state reproduces every count exactly
+        rho = rho_ls / np.real(rho_ls.trace())
+        nll = _profiled_nll(rho, counts, projectors)[0]
+        converged, iterations = True, 0
+    else:
+        x0 = _rho_to_params(linear_inversion(counts, settings))
+        f0 = _neg_log_likelihood(x0, counts, projectors)
+        x, nll, converged, iterations = _bfgs(
+            lambda p: _nll_and_gradient(p, counts, projectors), x0,
+            _GTOL * counts.sum())
+        if f0 < nll:  # never return worse than the starting point
+            x, nll = x0, f0
+        rho = _params_to_rho(x)
+        rho = (rho + rho.conj().T) / 2.0
     return TomographyResult(
         rho=rho,
         fidelity_to_target=states.fidelity(rho, states.bell_phi_plus()),
-        log_likelihood=-float(result.fun),
-        converged=bool(result.success),
-        iterations=int(result.nit),
+        log_likelihood=-float(nll),
+        converged=bool(converged),
+        iterations=int(iterations),
     )
 
 

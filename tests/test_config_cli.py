@@ -1,7 +1,10 @@
 import copy
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -32,6 +35,17 @@ def _set(data, key, value):
     for name in parents:
         data = data[name]
     data[leaf] = value
+
+
+def test_no_scipy_at_import():
+    # scipy is a test dependency only; the CLI must start without it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, vapornode.cli, vapornode.experiments\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"
 
 
 def test_defaults_load():
@@ -326,6 +340,34 @@ def test_cli_utility(tmp_path):
     assert 1.0 <= summary["utility_time_us_at_0.775"] <= 3.0
     assert summary["utility_time_us_at_0.5"] > 3.0
     assert summary["bounded_at_0.5"] is True
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def test_cli_utility_without_background(tmp_path, raw, capsys):
+    # no background: the model SNR is unbounded and the fidelity stays at 1
+    data = copy.deepcopy(raw)
+    data["memory"]["noise_per_trial"] = 0.0
+    out = tmp_path / "util0"
+    rc = cli.main(["utility", "--config", _write(tmp_path, data),
+                   "--out", str(out)])
+    assert rc == 4
+    assert "fidelity stays above a threshold" in capsys.readouterr().err
+    summary = json.loads((out / "utility.json").read_text(),
+                         parse_constant=_reject_constant)
+    for thr in ("0.775", "0.5"):
+        assert summary[f"bounded_at_{thr}"] is False
+        assert math.isfinite(summary[f"utility_time_us_at_{thr}"])
+    lines = (out / "utility.csv").read_text().splitlines()
+    assert lines[0] == "time_us,fidelity"
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert all(math.isfinite(float(v)) for v in fields)
+        assert fields[1] == "1.000000"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["warnings"]
 
 
 def test_cli_spectral_scan(tmp_path):

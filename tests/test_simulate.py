@@ -326,3 +326,15 @@ def test_positive_storage_delay_stream_unchanged(cfg):
                                45, 47, 37, 12]
     assert simulate.detected_signal_probability(
         cfg, "source", 1e-6) == 0.0014495078659829085
+
+
+def test_predicted_snr_without_background():
+    cfg = load_config()
+    quiet = dataclasses.replace(
+        cfg, memory=dataclasses.replace(cfg.memory, noise_per_trial=0.0))
+    assert simulate.noise_rate_hz(quiet) == 0.0
+    assert experiments.predicted_window_snr(quiet, "source") == math.inf
+    assert experiments.predicted_window_snr(quiet, "solo") == math.inf
+    # a delay long enough for the stored signal to underflow to zero
+    assert experiments.predicted_window_snr(quiet, "source", 1.0) == 0.0
+    assert (experiments.model_fidelity_curve(quiet, [0.0, 1e-6]) == 1.0).all()

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
-from vapornode import states, tomography
+from vapornode import simulate, states, tomography
+from vapornode.config import load_config
 
 
 def _counts_for(rho, total=2_000_000.0):
@@ -58,6 +62,79 @@ def test_mle_not_worse_than_linear_inversion():
             tomography._rho_to_params(res.rho), counts.astype(float), projectors
         )
         assert ll_mle >= ll_init - 1e-6
+
+
+def _lbfgsb_nll(counts, settings):
+    """Negative log-likelihood that scipy's L-BFGS-B (finite-difference
+    gradient) reaches from the same starting point, never above the start."""
+    counts = np.asarray(counts, dtype=float)
+    projectors = np.stack([s.joint() for s in settings])
+    x0 = tomography._rho_to_params(tomography.linear_inversion(counts, settings))
+    res = minimize(tomography._neg_log_likelihood, x0,
+                   args=(counts, projectors), method="L-BFGS-B",
+                   options={"maxiter": 2000, "gtol": 1e-8, "ftol": 1e-14})
+    return min(res.fun, tomography._neg_log_likelihood(x0, counts, projectors))
+
+
+@pytest.mark.parametrize("duration", [1.0, 6.0, 12.5])
+def test_mle_matches_scipy_lbfgsb(duration):
+    base = load_config()
+    for seed in range(10):
+        cfg = dataclasses.replace(base, seed=seed)
+        tc = simulate.run_tomography(cfg, duration_per_setting_s=duration)
+        res = tomography.mle_tomography(tc.counts, tc.settings)
+        assert res.converged
+        ref = _lbfgsb_nll(tc.counts, tc.settings)
+        assert -res.log_likelihood <= ref + 1e-6 * abs(ref)
+        states.validate_density_matrix(res.rho)
+
+
+def _near_pure_counts():
+    # eigenvalues 5e-10: below the 1e-9 floor of the Cholesky start, so only
+    # the exact path returns this state without iterating
+    eps = 2e-9
+    rho = (1.0 - eps) * states.bell_phi_plus() + eps * np.eye(4) / 4.0
+    return _counts_for(rho, total=1e12)
+
+
+@pytest.mark.parametrize("counts", [
+    _counts_for(states.werner_state(0.83), total=200_000.0),
+    _near_pure_counts(),
+], ids=["werner", "near_pure"])
+def test_exact_path_on_positive_definite_inversion(counts):
+    sets = states.tomography_settings()
+    rho_ls = tomography._unclipped_inversion(
+        counts.astype(float), tomography._design_matrix(sets))
+    assert np.linalg.eigvalsh(rho_ls).min() > 0
+    res = tomography.mle_tomography(counts)
+    assert res.iterations == 0
+    assert res.converged
+    states.validate_density_matrix(res.rho)
+    # the saturated model reproduces every count
+    assert np.allclose(tomography.expected_counts(res.rho, sets, counts.sum()),
+                       counts, rtol=1e-9, atol=1e-12 * counts.sum())
+    ref = _lbfgsb_nll(counts, sets)
+    assert -res.log_likelihood <= ref + 1e-12 * abs(ref)
+
+
+def test_no_exact_path_without_square_complete_settings():
+    # the 36 settings of all six polarizations are complete but not square:
+    # the model is not saturated, so the optimizer runs even when the linear
+    # inversion is positive definite
+    labels = "HVDARL"
+    sets = [states.MeasurementSetting.from_labels(a, b)
+            for a in labels for b in labels]
+    rng = np.random.default_rng(3)
+    counts = rng.poisson(tomography.expected_counts(
+        states.werner_state(0.83), sets, 200_000.0))
+    rho_ls = tomography._unclipped_inversion(
+        counts.astype(float), tomography._design_matrix(sets))
+    assert np.linalg.eigvalsh(rho_ls).min() > 0
+    res = tomography.mle_tomography(counts, sets)
+    assert res.iterations > 0
+    assert res.converged
+    ref = _lbfgsb_nll(counts, sets)
+    assert -res.log_likelihood <= ref + 1e-6 * abs(ref)
 
 
 def test_noisy_counts_still_close():
