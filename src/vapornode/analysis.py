@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .histograms import Histogram
+from .histograms import Histogram, write_csv
 from .states import fidelity_from_snr
 
 
@@ -250,13 +250,11 @@ class SweepResult:
     per_trial_success: np.ndarray
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("window_ns,rate_pairs_per_s,fidelity,per_trial\n")
-            for w, r, fi, p in zip(
-                self.window_sizes_s, self.rates_pairs_per_s,
-                self.fidelities, self.per_trial_success,
-            ):
-                f.write(f"{w * 1e9:.4f},{r:.6g},{fi:.6f},{p:.6g}\n")
+        write_csv(path, "window_ns,rate_pairs_per_s,fidelity,per_trial",
+                  (".4f", ".6g", ".6f", ".6g"), (
+                      (w * 1e9, r, fi, p) for w, r, fi, p in zip(
+                          self.window_sizes_s, self.rates_pairs_per_s,
+                          self.fidelities, self.per_trial_success)))
 
 
 def window_sweep(

@@ -1,8 +1,9 @@
 """Command-line entry point: run experiments from a config file and emit
 CSV curves, JSON summaries, and a run manifest.
 
-Exit codes: 0 success, 2 config error, 3 runtime error, 4 completed with
-warnings (non-convergence / lower-bound flags), 64 usage error.
+Exit codes: 0 success, 2 config error, 3 runtime error (a non-finite
+output value included), 4 completed with warnings (non-convergence /
+lower-bound flags), 64 usage error.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import __version__, analysis, experiments, optics, simulate, spectra, tomography
 from .config import ConfigError, NodeConfig, load_config
+from .histograms import write_csv
 from .states import MeasurementSetting, _KETS
 
 EXIT_OK = 0
@@ -34,10 +36,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _utc_now() -> str:
@@ -62,8 +60,15 @@ class _Run:
         return p
 
     def write_json(self, name: str, payload: dict) -> None:
+        """Write payload as JSON; a non-finite number raises ValueError
+        naming the file and the top-level key that holds it."""
+        for key, value in payload.items():
+            try:
+                json.dumps(value, allow_nan=False)
+            except ValueError:
+                raise ValueError(f"{name}: {key} is not finite") from None
         with open(self.path(name), "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
+            json.dump(payload, f, indent=2, sort_keys=True, allow_nan=False)
             f.write("\n")
 
     def warn(self, message: str) -> None:
@@ -81,20 +86,9 @@ class _Run:
             "outputs": sorted(self.outputs),
             "warnings": self.warnings,
         }
-        with open(self.out / "manifest.json", "w") as f:
-            json.dump(manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
+        # the output list is taken before the manifest adds itself to it
+        self.write_json("manifest.json", manifest)
         return EXIT_WARNINGS if self.warnings else EXIT_OK
-
-
-def _emit_metrics(run: _Run, name: str, payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        run.write_json(f"{name}.json", payload)
-    else:
-        with open(run.path(f"{name}.csv"), "w") as f:
-            f.write("key,value\n")
-            for k, v in sorted(payload.items()):
-                f.write(f"{k},{v}\n")
 
 
 def _cmd_histograms(args, config: NodeConfig, mode: str) -> int:
@@ -105,7 +99,12 @@ def _cmd_histograms(args, config: NodeConfig, mode: str) -> int:
     run = _Run(config, args)
     for cond in ("memory", "input", "no_input"):
         getattr(runs, cond).to_csv(run.path(f"hist_{cond}.csv"))
-    _emit_metrics(run, "metrics", metrics.to_json_dict(), args.format)
+    payload = metrics.to_json_dict()
+    if args.format == "json":
+        run.write_json("metrics.json", payload)
+    else:
+        write_csv(run.path("metrics.csv"), "key,value", ("", ""),
+                  sorted(payload.items()))
     if metrics.snr_lower_bound:
         run.warn("empty noise window: SNR is a lower bound")
     return run.finish()
@@ -130,11 +129,10 @@ def _cmd_tomography(args, config: NodeConfig) -> int:
         raise ConfigError("settings: not informationally complete")
     result = tomography.mle_tomography(counts.counts, counts.settings)
     run = _Run(config, args)
-    with open(run.path("counts.csv"), "w") as f:
-        f.write("setting,triggers,coincidences\n")
-        for s, t, c in zip(counts.settings, counts.triggers_per_setting,
-                           counts.counts):
-            f.write(f"{s.label},{int(t)},{int(c)}\n")
+    write_csv(run.path("counts.csv"), "setting,triggers,coincidences",
+              ("", "", ""), zip([s.label for s in counts.settings],
+                                counts.triggers_per_setting.tolist(),
+                                counts.counts.tolist()))
     run.write_json("tomography.json", result.to_json_dict())
     if not result.converged:
         run.warn("likelihood optimizer did not report convergence")
@@ -158,10 +156,8 @@ def _cmd_utility(args, config: NodeConfig) -> int:
     times = np.linspace(0.0, args.max_time_us * 1e-6, args.points)
     fids = experiments.model_fidelity_curve(config, times)
     run = _Run(config, args)
-    with open(run.path("utility.csv"), "w") as f:
-        f.write("time_us,fidelity\n")
-        for t, fi in zip(times, fids):
-            f.write(f"{t * 1e6:.4f},{fi:.6f}\n")
+    write_csv(run.path("utility.csv"), "time_us,fidelity", (".4f", ".6f"),
+              ((t * 1e6, fi) for t, fi in zip(times, fids)))
     summary = {}
     unbounded = False
     for thr in (experiments.DISTILLATION_THRESHOLD,
@@ -183,15 +179,18 @@ def _cmd_spectral_scan(args, config: NodeConfig) -> int:
     detunings = np.linspace(-args.band_ghz / 2.0, args.band_ghz / 2.0,
                             args.points) * 1e9
     run = _Run(config, args)
-    with open(run.path("spectral.csv"), "w") as f:
-        f.write("cavity_detuning_ghz,heralding_eta,relative_rate,"
-                "memory_acceptance\n")
-        for d in detunings:
-            eta, rate = spectra.heralding_vs_cavity_detuning(model, cavity, d)
-            mem = spectra.memory_efficiency_vs_detuning(
-                mem_model, model.paired_nir_detuning(d)
-            )
-            f.write(f"{d / 1e9:.4f},{eta:.6f},{rate:.6g},{float(mem):.6f}\n")
+
+    def row(d):
+        eta, rate = spectra.heralding_vs_cavity_detuning(model, cavity, d)
+        mem = spectra.memory_efficiency_vs_detuning(
+            mem_model, model.paired_nir_detuning(d)
+        )
+        return d / 1e9, eta, rate, float(mem)
+
+    write_csv(run.path("spectral.csv"),
+              "cavity_detuning_ghz,heralding_eta,relative_rate,"
+              "memory_acceptance", (".4f", ".6f", ".6g", ".6f"),
+              map(row, detunings))
     best = spectra.select_operating_point(model, cavity, mem_model,
                                           scan_band_hz=args.band_ghz * 1e9)
     eta, rate = spectra.heralding_vs_cavity_detuning(model, cavity, best)
@@ -208,14 +207,10 @@ def _cmd_filter_design(args, config: NodeConfig) -> int:
     run = _Run(config, args)
     detunings = np.linspace(-args.band_ghz / 2.0, args.band_ghz / 2.0,
                             args.points) * 1e9
-    with open(run.path("filter.csv"), "w") as f:
-        f.write("detuning_ghz,suppression_db,transmission\n")
-        for d in detunings:
-            f.write(
-                f"{d / 1e9:.4f},"
-                f"{optics.cascade_suppression_db(cascade, d):.4f},"
-                f"{optics.cascade_transmission(cascade, d):.6g}\n"
-            )
+    write_csv(run.path("filter.csv"),
+              "detuning_ghz,suppression_db,transmission", (".4f", ".4f", ".6g"),
+              ((d / 1e9, optics.cascade_suppression_db(cascade, d),
+                optics.cascade_transmission(cascade, d)) for d in detunings))
     run.write_json("filter.json", {
         "query_detuning_ghz": args.query_ghz,
         "suppression_db_at_query": optics.cascade_suppression_db(

@@ -1,10 +1,32 @@
-"""Time-binned coincidence histograms and their CSV form."""
+"""Time-binned coincidence histograms, and the CSV writer that every output
+table goes through."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+
+
+def write_csv(path, header: str, specs: tuple, rows) -> None:
+    """Write the header line, then each row with every value formatted by
+    its column's format spec.  A non-finite number raises ValueError naming
+    the file and the column, before the file is created, so no table holds
+    nan or inf."""
+    columns = header.split(",")
+    lines = [header]
+    for row in rows:
+        for column, value in zip(columns, row):
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise ValueError(
+                    f"{Path(path).name}: {column} is not finite ({value})"
+                )
+        lines.append(",".join(map(format, row, specs)))
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 @dataclass
@@ -48,9 +70,8 @@ class Histogram:
         return int(self.counts.sum())
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("bin_start_ns,counts\n")
-            for i, c in enumerate(self.counts):
-                start_ns = (self.origin_s + i * self.bin_width_s) * 1e9
-                f.write(f"{start_ns:.4f},{int(c)}\n")
+        write_csv(path, "bin_start_ns,counts", (".4f", ""), (
+            ((self.origin_s + i * self.bin_width_s) * 1e9, c)
+            for i, c in enumerate(self.counts.tolist())
+        ))
 

@@ -75,7 +75,8 @@ def _block_rng(seed: int, condition_id: int, block_index: int) -> np.random.Gene
 
 
 def _simulate_block(spec: RunSpec, seed, condition_id, block_index, n):
-    """One block of trials -> (timestamps in tag units, trial indices, duration)."""
+    """One block of trials -> (timestamps in tag units, trial indices,
+    duration); events are in draw order, not sorted by trial."""
     rng = _block_rng(seed, condition_id, block_index)
 
     if spec.trial_period_s > 0:
@@ -118,8 +119,7 @@ def _simulate_block(spec: RunSpec, seed, condition_id, block_index, n):
     lo = int(math.ceil(spec.frame_origin_s / spec.tag_resolution_s))
     hi = int(math.floor(spec.frame_end_s / spec.tag_resolution_s))
     keep = (tags >= lo) & (tags < hi)
-    order = np.argsort(idx[keep], kind="stable")
-    return tags[keep][order], idx[keep][order], duration
+    return tags[keep], idx[keep], duration
 
 
 def _block_worker(args):
@@ -164,13 +164,17 @@ def run_condition(
 
 
 def run_events(spec: RunSpec, seed: int, condition_id: int, n_trials: int):
-    """Event-level output: (trial_index, timestamp in tag units) arrays."""
+    """Event-level output: (trial_index, timestamp in tag units) arrays,
+    ordered by trial index (stable, so a trial's events keep their draw
+    order).  Binning needs no order, so only this path sorts."""
     all_tags, all_idx = [], []
     for b, n in _blocks(n_trials):
         tags, idx, _ = _simulate_block(spec, seed, condition_id, b, n)
         all_tags.append(tags)
         all_idx.append(idx)
-    return np.concatenate(all_idx), np.concatenate(all_tags)
+    idx, tags = np.concatenate(all_idx), np.concatenate(all_tags)
+    order = np.argsort(idx, kind="stable")
+    return idx[order], tags[order]
 
 
 def envelope_components(config: NodeConfig):

@@ -82,6 +82,19 @@ def test_unknown_key_rejected(tmp_path, raw, capsys, key):
     assert key in capsys.readouterr().err
 
 
+def test_unknown_keys_of_mixed_types_rejected(tmp_path, raw, capsys):
+    # YAML keys need not be strings: an int and a str unknown key together
+    # are a config error, not a TypeError from ordering them
+    data = copy.deepcopy(raw)
+    data["memory"].update({1: "x", "bogus_knob": 2.0})
+    path = tmp_path / "mixed.yaml"
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    assert cli.main(["filter-design", "--points", "3", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: unknown key: memory.")
+
+
 def test_missing_key_rejected(tmp_path, raw):
     data = copy.deepcopy(raw)
     del data["source"]["heralding_eta"]
@@ -121,45 +134,57 @@ def test_empty_malformed_or_non_mapping_yaml_rejected(tmp_path, text):
         load_config(str(path), overrides={"seed": 3})
 
 
-@pytest.mark.parametrize("key, value, named", [
-    ("spectra.pathway_weights", ["a", "b"], "spectra.pathway_weights[0]"),
+_STAGE = {"fwhm_ghz": 1.55, "fsr_ghz": 60.2, "passes": 2}
+
+
+# A config error exits 2 and names the dotted key.  A number that is finite
+# as written but not in SI units (1e300 GHz) is a config error too.  A
+# config that loads but makes an output non-finite exits 3 and names the
+# file and the column.
+@pytest.mark.parametrize("key, value, message", [
+    ("spectra.pathway_weights", ["a", "b"],
+     "config error: spectra.pathway_weights[0]:"),
     ("spectra.memory_acceptance.hyperfine_centers_ghz", ["x", 0.408],
-     "spectra.memory_acceptance.hyperfine_centers_ghz[0]"),
+     "config error: spectra.memory_acceptance.hyperfine_centers_ghz[0]:"),
     ("spectra.memory_acceptance.amplitudes", [1.0, None],
-     "spectra.memory_acceptance.amplitudes[1]"),
+     "config error: spectra.memory_acceptance.amplitudes[1]:"),
     ("spectra.pathway_centers_ghz", [-0.408, -math.inf],
-     "spectra.pathway_centers_ghz[1]"),
+     "config error: spectra.pathway_centers_ghz[1]:"),
     ("analysis.sweep_windows_ns", [math.nan, 1.024],
-     "analysis.sweep_windows_ns[0]"),
-    ("source.telecom_rate_hz", math.inf, "source.telecom_rate_hz"),
-    ("source.telecom_rate_hz", 10**400, "source.telecom_rate_hz"),
-    ("memory.eta0_internal", True, "memory.eta0_internal"),
-    ("memory.tau_coherence_us", math.nan, "memory.tau_coherence_us"),
-    ("filter_cascade.stages", [{"fwhm_ghz": 1.55, "fsr_ghz": math.inf,
-                                "passes": 2}],
-     "filter_cascade.stages[0].fsr_ghz"),
+     "config error: analysis.sweep_windows_ns[0]:"),
+    ("source.telecom_rate_hz", math.inf,
+     "config error: source.telecom_rate_hz:"),
+    ("source.telecom_rate_hz", 10**400,
+     "config error: source.telecom_rate_hz:"),
+    ("memory.eta0_internal", True, "config error: memory.eta0_internal:"),
+    ("memory.tau_coherence_us", math.nan,
+     "config error: memory.tau_coherence_us:"),
+    ("filter_cascade.stages", [{**_STAGE, "fsr_ghz": math.inf}],
+     "config error: filter_cascade.stages[0].fsr_ghz:"),
+    ("filter_cascade.stages", [{**_STAGE, "fsr_ghz": 1.0e300}],
+     "config error: filter_cascade.stages[0].fsr_ghz:"),
+    ("spectra.pairing_sum_ghz", 1.0e300,
+     "config error: spectra.pairing_sum_ghz:"),
+    ("spectra.memory_acceptance.linewidth_ghz", 1.0e300,
+     "config error: spectra.memory_acceptance.linewidth_ghz:"),
+    ("spectra.doppler_fwhm_ghz", 1.0e300,
+     "config error: spectra.doppler_fwhm_ghz:"),
+    ("spectra.doppler_fwhm_ghz", 1.0e-300,
+     "runtime error: spectral.csv: heralding_eta"),
 ], ids=["weights-str", "hyperfine-str", "amplitudes-null", "centers-inf",
         "windows-nan", "rate-inf", "rate-huge-int", "eta-bool", "tau-nan",
-        "stage-inf"])
+        "stage-inf", "stage-overflow", "pairing-overflow",
+        "linewidth-overflow", "doppler-overflow", "doppler-underflow"])
 def test_bad_numbers_and_list_entries_rejected(tmp_path, raw, capsys, key,
-                                               value, named):
+                                               value, message):
     data = copy.deepcopy(raw)
     _set(data, key, value)
-    rc = cli.main(["solo", "--trials", "1000", "--config",
+    rc = cli.main(["spectral-scan", "--points", "3", "--config",
                    _write(tmp_path, data), "--out", str(tmp_path / "out")])
-    assert rc == 2
+    assert rc == (2 if message.startswith("config error") else 3)
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {named}:")
-
-
-def test_unit_scale_overflow_rejected(tmp_path, raw, capsys):
-    # 1e300 GHz is a finite config number whose value in Hz is not
-    data = copy.deepcopy(raw)
-    data["filter_cascade"]["stages"][0]["fsr_ghz"] = 1.0e300
-    rc = cli.main(["filter-design", "--config", _write(tmp_path, data),
-                   "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert "fsr=inf" in capsys.readouterr().err
+    assert err.startswith(message)
+    assert not list((tmp_path / "out").glob("*.csv"))  # not even a partial one
 
 
 def test_workers_not_in_hash():
@@ -346,6 +371,21 @@ def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
+def _assert_finite_outputs(out):
+    """Every JSON output parses strictly and every numeric CSV field is
+    finite."""
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+    for path in out.glob("*.csv"):
+        for line in path.read_text().splitlines()[1:]:
+            for field in line.split(","):
+                try:
+                    value = float(field)
+                except ValueError:  # a label, bool or None
+                    continue
+                assert math.isfinite(value), (path.name, line)
+
+
 def test_cli_utility_without_background(tmp_path, raw, capsys):
     # no background: the model SNR is unbounded and the fidelity stays at 1
     data = copy.deepcopy(raw)
@@ -465,7 +505,7 @@ def _paths(node, path=()):
 _DEFAULTS = load_config().raw
 _CONFIG_PATHS = list(_paths(_DEFAULTS))
 _MUTANTS = st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, -1, -2.5,
-                            "x", None, True, [], {}])
+                            1e300, 1e-300, "x", None, True, [], {}])
 _SMALL_RUNS = [
     ["solo", "--trials", "2000"],
     ["source", "--trials", "2000"],
@@ -480,8 +520,9 @@ _SMALL_RUNS = [
 @hyp_settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_config_mutation_property(data):
-    # drop a key or list entry, or write a wrong type, nan, inf, 0 or a
-    # negative value: every command exits with a documented code
+    # drop a key or list entry, or write a wrong type, nan, inf, 0, a
+    # negative, huge or tiny value: every command exits with a documented
+    # code, and a run that completes writes only finite numbers
     raw = copy.deepcopy(_DEFAULTS)
     *parents, leaf = data.draw(st.sampled_from(_CONFIG_PATHS), label="key")
     node = raw
@@ -496,4 +537,6 @@ def test_config_mutation_property(data):
         path = Path(tmp) / "cfg.yaml"
         path.write_text(yaml.safe_dump(raw))
         rc = cli.main(argv + ["--config", str(path), "--out", f"{tmp}/out"])
-    assert rc in (0, 2, 3, 4, 64)
+        assert rc in (0, 2, 3, 4, 64)
+        if rc in (0, 4):
+            _assert_finite_outputs(Path(tmp) / "out")

@@ -168,10 +168,20 @@ def test_poisson_variance_over_seeds(cfg):
 
 
 def test_histogram_matches_event_binning(cfg):
+    # the histogram bins the same events that run_events returns, block
+    # boundaries included; only the event list is sorted, by trial index
     spec = simulate.build_spec(cfg, "solo", "memory")
-    h = simulate.run_condition(spec, cfg.seed, 0, 80_000)
-    idx, tags = simulate.run_events(spec, cfg.seed, 0, 80_000)
+    n = 80_000
+    h = simulate.run_condition(spec, cfg.seed, 0, n)
+    idx, tags = simulate.run_events(spec, cfg.seed, 0, n)
     assert h.total() == tags.size
+    t = tags * spec.tag_resolution_s - spec.frame_origin_s
+    binned = np.bincount((t / spec.bin_width_s).astype(np.int64),
+                         minlength=spec.n_bins)
+    assert binned.size == spec.n_bins
+    assert np.array_equal(binned, h.counts)
+    assert idx.size == tags.size and (np.diff(idx) >= 0).all()
+    assert idx.min() >= 0 and idx.max() < n
 
 
 def test_signal_trials_distinct_within_block(cfg):
