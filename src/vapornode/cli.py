@@ -13,6 +13,7 @@ import datetime
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -320,14 +321,20 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    try:
-        return _COMMANDS[args.cmd](args, config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    # numpy's warnings are held back so that an error line comes first
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = _COMMANDS[args.cmd](args, config)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            code = EXIT_CONFIG
+        except Exception as exc:  # noqa: BLE001 - CLI boundary
+            print(f"runtime error: {exc}", file=sys.stderr)
+            code = EXIT_RUNTIME
+    for w in caught:
+        print(f"warning: {Path(w.filename).name}:{w.lineno}: "
+              f"{w.category.__name__}: {w.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Monte Carlo generation of time-tagged detection events.
 
 Reproducibility scheme: trials are split into fixed-size blocks; block b of
-condition c uses Generator(Philox(key=(seed, c)).jumped(b)).  A block's
+condition c uses Generator(Philox(key=(seed, c), counter=[0, 0, b, 0])),
+the same state as Generator(Philox(key=(seed, c)).jumped(b)), since a jump
+adds one to the third counter word, but built without the jump.  A block's
 events depend only on (seed, condition, block index, block size), so the
 event stream is bit-identical for any worker count, and histograms merge by
 commutative integer addition.
@@ -17,7 +19,6 @@ only, so the cost scales with the detections kept, not with the trials.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +71,8 @@ def _delay_key(extra_storage_s: float) -> int:
 def _block_rng(seed: int, condition_id: int, block_index: int) -> np.random.Generator:
     # uint64 key: a tuple key goes through float outside [0, 2**63)
     key = np.array([seed & (2**64 - 1), condition_id], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
-    return np.random.Generator(bitgen.jumped(block_index))
+    return np.random.Generator(
+        np.random.Philox(key=key, counter=[0, 0, block_index, 0]))
 
 
 def _simulate_block(spec: RunSpec, seed, condition_id, block_index, n):
@@ -151,6 +152,9 @@ def run_condition(
     if workers <= 1 or len(jobs) == 1:
         results = [_block_worker(j) for j in jobs]
     else:
+        # imported here: the module costs every fresh process ~25 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_block_worker, jobs, chunksize=1))
     counts = np.zeros(spec.n_bins, dtype=np.int64)
@@ -193,7 +197,8 @@ def window_capture(config: NodeConfig, window_s: float) -> float:
     jit = config.detector_nir.jitter_sigma_s
     cap = 0.0
     for s, frac in zip(sigmas, fractions):
-        s_eff = math.sqrt(s**2 + jit**2)
+        # a product overflows to inf (capture 0) where ** would raise
+        s_eff = math.sqrt(s * s + jit * jit)
         cap += frac * math.erf(window_s / (2.0 * math.sqrt(2.0) * s_eff))
     return cap
 
@@ -374,9 +379,7 @@ def run_tomography(
     triggers = np.zeros(len(settings), dtype=np.int64)
     for i, setting in enumerate(settings):
         # trigger rate through the telecom projector
-        p_trig = float(
-            np.real(np.trace(np.kron(setting.projector_a, np.eye(2)) @ rho))
-        )
+        p_trig = float(np.real(np.trace(setting.marginal_a() @ rho)))
         n_trig = rng.poisson(
             config.source.telecom_rate_hz * duration_per_setting_s * p_trig
         )

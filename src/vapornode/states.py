@@ -7,7 +7,8 @@ qubit A is the telecom arm, qubit B is the NIR arm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,13 +49,33 @@ def projector(label: str) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """One joint polarization projection: telecom arm x NIR arm."""
+    """One joint polarization projection: telecom arm x NIR arm.
+
+    The joint projector and the telecom marginal are built once, as
+    read-only arrays, from read-only copies of the two projectors.
+    """
 
     projector_a: np.ndarray
     projector_b: np.ndarray
     label: str = ""
+    _joint: np.ndarray = field(init=False, repr=False, compare=False)
+    _marginal_a: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pa = _frozen(np.array(self.projector_a))
+        pb = _frozen(np.array(self.projector_b))
+        object.__setattr__(self, "projector_a", pa)
+        object.__setattr__(self, "projector_b", pb)
+        object.__setattr__(self, "_joint", _frozen(np.kron(pa, pb)))
+        object.__setattr__(self, "_marginal_a",
+                           _frozen(np.kron(pa, np.eye(2))))
 
     @classmethod
     def from_labels(cls, a: str, b: str) -> "MeasurementSetting":
@@ -62,16 +83,27 @@ class MeasurementSetting:
 
     def joint(self) -> np.ndarray:
         """4x4 joint projector P_a (x) P_b in the (HH, HV, VH, VV) basis."""
-        return np.kron(self.projector_a, self.projector_b)
+        return self._joint
+
+    def marginal_a(self) -> np.ndarray:
+        """4x4 telecom-arm marginal P_a (x) I."""
+        return self._marginal_a
+
+
+@lru_cache(maxsize=1)
+def _default_settings() -> tuple[MeasurementSetting, ...]:
+    labels = ("H", "V", "D", "R")
+    return tuple(MeasurementSetting.from_labels(a, b)
+                 for a in labels for b in labels)
 
 
 def tomography_settings() -> list[MeasurementSetting]:
     """The 16 product settings {H, V, D, R} x {H, V, D, R}.
 
-    This set is informationally complete for two qubits.
+    This set is informationally complete for two qubits.  The settings are
+    built on the first call and shared; each call returns a new list.
     """
-    labels = ("H", "V", "D", "R")
-    return [MeasurementSetting.from_labels(a, b) for a in labels for b in labels]
+    return list(_default_settings())
 
 
 def validate_density_matrix(rho: np.ndarray) -> None:

@@ -12,11 +12,15 @@ analytically, and the Poisson likelihood is maximized on one of two paths:
   and is the maximum-likelihood state; it is returned with no iterations;
 - boundary: otherwise BFGS with Armijo backtracking and the analytic
   gradient minimizes the negative log-likelihood in the Cholesky
-  parameters, starting from the clipped linear inversion.
+  parameters p, starting from the clipped linear inversion.  Each Born
+  probability is a fixed quadratic form there, Tr(P_k L L^dag) = p.G_k p
+  with Tr(L L^dag) = p.p, so one fit builds G once and every evaluation
+  is a few small matrix products.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +29,16 @@ from . import states
 
 _TRIL_R, _TRIL_C = np.tril_indices(4)
 _OFF = _TRIL_R != _TRIL_C
+# parameter j multiplies unit _UNIT[j] at L[_ROW[j], _COL[j]]: the ten real
+# parts of the lower triangle, then the imaginary parts of the six below it
+_ROW = np.concatenate([_TRIL_R, _TRIL_R[_OFF]])
+_COL = np.concatenate([_TRIL_C, _TRIL_C[_OFF]])
+_UNIT = np.concatenate([np.ones(10), np.full(6, 1j)])
+# (L L^dag)_{ab} = sum_c L_{ac} conj(L_{bc}): two parameters meet only in
+# the same column of L
+_G_PHASE = np.where(_COL[:, None] == _COL[None, :],
+                    _UNIT.conj()[:, None] * _UNIT[None, :], 0.0)
+_MIXED_PARAMS = np.where(_ROW == _COL, 1.0, 0.0)  # L = I
 _Q_FLOOR = 1e-12  # smallest Born probability the likelihood evaluates
 _MAX_ITERATIONS = 2000
 _GTOL = 1e-9  # largest gradient entry at convergence, per count
@@ -93,9 +107,8 @@ def _unclipped_inversion(counts, amat) -> np.ndarray:
     return (rho + rho.conj().T) / 2.0
 
 
-def linear_inversion(counts, settings) -> np.ndarray:
-    """Least-squares state estimate projected onto the PSD cone."""
-    rho = _unclipped_inversion(np.asarray(counts), _design_matrix(settings))
+def _psd_projection(rho) -> np.ndarray:
+    """Unit-trace state with the negative eigenvalues of rho set to 0."""
     lam, v = np.linalg.eigh(rho)
     lam = np.clip(lam, 0.0, None)
     if lam.sum() <= 0:
@@ -104,10 +117,15 @@ def linear_inversion(counts, settings) -> np.ndarray:
     return rho / np.real(rho.trace())
 
 
-def _profiled_nll(rho, counts, projectors):
-    """Negative log-likelihood with the flux profiled out, and its
-    derivative in each setting's Born probability."""
-    q_raw = np.real(np.einsum("kij,ji->k", projectors, rho))
+def linear_inversion(counts, settings) -> np.ndarray:
+    """Least-squares state estimate projected onto the PSD cone."""
+    return _psd_projection(
+        _unclipped_inversion(np.asarray(counts), _design_matrix(settings)))
+
+
+def _nll_of_q(q_raw, counts):
+    """Negative log-likelihood of the Born probabilities q_raw with the
+    flux profiled out, its derivative in each q, and the clipped q."""
     q = np.clip(q_raw, _Q_FLOOR, None)
     total, qsum = counts.sum(), q.sum()
     mu = (total / qsum) * q  # profiled flux
@@ -117,26 +135,31 @@ def _profiled_nll(rho, counts, projectors):
     return nll, dq, q
 
 
+def _profiled_nll(rho, counts, projectors):
+    """_nll_of_q at the Born probabilities Re Tr(P_k rho)."""
+    return _nll_of_q(np.real(np.einsum("kij,ji->k", projectors, rho)), counts)
+
+
 def _neg_log_likelihood(params, counts, projectors):
     return _profiled_nll(_params_to_rho(params), counts, projectors)[0]
 
 
-def _nll_and_gradient(params, counts, projectors):
-    """_neg_log_likelihood and its gradient in the Cholesky parameters."""
-    lmat = _params_to_lmat(params)
-    m = lmat @ lmat.conj().T
-    tr = np.real(m.trace())
-    if tr <= 0:
-        return _neg_log_likelihood(params, counts, projectors), np.zeros(16)
-    nll, dq, q = _profiled_nll(m / tr, counts, projectors)
-    # d nll = Tr(h dM) / tr for M = L L^dag, and Tr(h dM) = 2 Re Tr(L^dag h dL)
-    h = np.einsum("k,kij->ij", dq, projectors)
-    h[np.diag_indices(4)] -= dq @ q
-    k = (h / tr) @ lmat
-    grad = np.empty(16)
-    grad[:10] = 2.0 * np.real(k[_TRIL_R, _TRIL_C])
-    grad[10:] = 2.0 * np.imag(k[_TRIL_R[_OFF], _TRIL_C[_OFF]])
-    return nll, grad
+def _quadratic_forms(projectors) -> np.ndarray:
+    """Real symmetric G with p.G_k p = Re Tr(P_k L L^dag) for the
+    Cholesky parameters p of L."""
+    return np.real(projectors[:, _ROW[:, None], _ROW[None, :]] * _G_PHASE)
+
+
+def _nll_and_gradient(params, counts, gmat):
+    """_neg_log_likelihood and its gradient in the Cholesky parameters,
+    from the quadratic forms gmat of _quadratic_forms."""
+    tr = params @ params
+    if tr <= 0:  # L = 0 stands for the maximally mixed state, as L = I
+        return _nll_and_gradient(_MIXED_PARAMS, counts, gmat)[0], np.zeros(16)
+    gp = gmat @ params
+    nll, dq, q = _nll_of_q(gp @ params / tr, counts)
+    # q_k = p.G_k p / p.p, so dq_k/dp = 2 (G_k p - q_k p) / p.p
+    return nll, 2.0 * (dq @ gp - (dq @ q) * params) / tr
 
 
 def _bfgs(fun, x0, gtol: float):
@@ -153,7 +176,7 @@ def _bfgs(fun, x0, gtol: float):
         if p is None or g @ p >= 0:
             # steepest descent, 0.1 long (a unit-trace state has |params| = 1)
             hinv = None
-            p = -0.1 * g / np.linalg.norm(g)
+            p = -0.1 * g / math.sqrt(g @ g)
         slope = g @ p
         alpha = 1.0
         for _ in range(60):
@@ -170,12 +193,14 @@ def _bfgs(fun, x0, gtol: float):
         if decrease <= _FTOL * max(abs(f), 1.0):
             return x, f, True, it
         sy = s @ y
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+        yy = y @ y
+        if sy > 1e-12 * math.sqrt(s @ s) * math.sqrt(yy):
             if hinv is None:  # the usual y.s / y.y scaling of the identity
-                hinv = np.eye(x.size) * (sy / (y @ y))
+                hinv = np.eye(x.size) * (sy / yy)
             r = 1.0 / sy
             hy = hinv @ y
-            hinv = (hinv - r * (np.outer(s, hy) + np.outer(hy, s))
+            shy = np.outer(s, hy)
+            hinv = (hinv - r * (shy + shy.T)
                     + (r * r * (y @ hy) + r) * np.outer(s, s))
     return x, f, False, _MAX_ITERATIONS
 
@@ -206,13 +231,11 @@ def mle_tomography(counts, settings=None) -> TomographyResult:
         nll = _profiled_nll(rho, counts, projectors)[0]
         converged, iterations = True, 0
     else:
-        x0 = _rho_to_params(linear_inversion(counts, settings))
-        f0 = _neg_log_likelihood(x0, counts, projectors)
+        # BFGS only accepts decreases, so the fit is never worse than x0
+        gmat = _quadratic_forms(projectors)
         x, nll, converged, iterations = _bfgs(
-            lambda p: _nll_and_gradient(p, counts, projectors), x0,
-            _GTOL * counts.sum())
-        if f0 < nll:  # never return worse than the starting point
-            x, nll = x0, f0
+            lambda p: _nll_and_gradient(p, counts, gmat),
+            _rho_to_params(_psd_projection(rho_ls)), _GTOL * counts.sum())
         rho = _params_to_rho(x)
         rho = (rho + rho.conj().T) / 2.0
     return TomographyResult(

@@ -48,6 +48,18 @@ def test_no_scipy_at_import():
     assert res.stdout.strip() == "[]"
 
 
+def test_no_process_pool_at_import():
+    # the pool module is imported only when a run asks for workers
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, vapornode.cli, vapornode.experiments\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'concurrent'))")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"
+
+
 def test_defaults_load():
     cfg = load_config()
     assert cfg.seed == 20250823
@@ -185,6 +197,40 @@ def test_bad_numbers_and_list_entries_rejected(tmp_path, raw, capsys, key,
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert not list((tmp_path / "out").glob("*.csv"))  # not even a partial one
+
+
+def test_error_line_before_numpy_warnings(tmp_path, raw):
+    # outside pytest numpy's RuntimeWarnings reach stderr; they come after
+    # the error line
+    data = copy.deepcopy(raw)
+    _set(data, "spectra.doppler_fwhm_ghz", 1.0e-300)
+    src = Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run(
+        [sys.executable, "-m", "vapornode.cli", "spectral-scan", "--points",
+         "3", "--config", _write(tmp_path, data), "--out",
+         str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert res.returncode == 3
+    lines = res.stderr.splitlines()
+    assert lines[0].startswith("runtime error: spectral.csv: heralding_eta")
+    assert all(line.startswith("warning: ") for line in lines[1:])
+
+
+@pytest.mark.parametrize("key", ["memory.retrieved_pulse.core_fwhm_ns",
+                                 "memory.retrieved_pulse.pedestal_fwhm_ns",
+                                 "detectors.nir.jitter_ps"])
+@pytest.mark.parametrize("argv", [["tomography", "--duration", "1"],
+                                  ["utility", "--points", "41"]],
+                         ids=["tomography", "utility"])
+def test_huge_pulse_widths_do_not_overflow(tmp_path, raw, capsys, key, argv):
+    # squaring a width of 1e300 s overflows: the capture is 0, not an error
+    data = copy.deepcopy(raw)
+    _set(data, key, 1.0e300)
+    rc = cli.main(argv + ["--config", _write(tmp_path, data),
+                          "--out", str(tmp_path / "out")])
+    assert rc in (0, 3, 4)
+    assert "Numerical result out of range" not in capsys.readouterr().err
 
 
 def test_workers_not_in_hash():

@@ -154,6 +154,25 @@ def test_seeds_outside_int64_keep_distinct_streams(cfg, seeds):
         assert np.array_equal(got, ref)
 
 
+def _state_equal(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_state_equal(a[k], b[k])
+                                            for k in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+@pytest.mark.parametrize("seed", [0, 20250823, -5, 2**63 + 1])
+def test_block_rng_counter_is_the_jumped_state(seed):
+    # the counter form skips the jump but must leave the same state behind
+    for block in (0, 1, 7, 2**20):
+        key = np.array([seed & (2**64 - 1), 5], dtype=np.uint64)
+        ref = np.random.Generator(np.random.Philox(key=key).jumped(block))
+        got = simulate._block_rng(seed, 5, block)
+        assert _state_equal(got.bit_generator.state, ref.bit_generator.state)
+
+
 def test_poisson_variance_over_seeds(cfg):
     # total noise counts over independent seeds behave Poisson-like; over
     # 1000 seeds the ratio's standard deviation is about 0.045, so the

@@ -129,6 +129,27 @@ def test_tomography_settings_complete():
     assert np.linalg.matrix_rank(vecs, tol=1e-9) == 16
 
 
+def test_setting_projectors_cached_read_only():
+    for setting in states.tomography_settings():
+        pa, pb = setting.projector_a, setting.projector_b
+        for arr, ref in ((setting.joint(), np.kron(pa, pb)),
+                         (setting.marginal_a(), np.kron(pa, np.eye(2)))):
+            assert np.array_equal(arr, ref)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+        assert setting.joint() is setting.joint()
+        assert not pa.flags.writeable and not pb.flags.writeable
+
+
+def test_tomography_settings_new_list_per_call():
+    first, second = states.tomography_settings(), states.tomography_settings()
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second))
+    first.pop()
+    assert len(states.tomography_settings()) == 16
+
+
 def test_serialization_roundtrip():
     rng = np.random.default_rng(7)
     rho = states.random_density_matrix(rng)

@@ -121,9 +121,7 @@ def test_no_exact_path_without_square_complete_settings():
     # the 36 settings of all six polarizations are complete but not square:
     # the model is not saturated, so the optimizer runs even when the linear
     # inversion is positive definite
-    labels = "HVDARL"
-    sets = [states.MeasurementSetting.from_labels(a, b)
-            for a in labels for b in labels]
+    sets = _all_six_settings()
     rng = np.random.default_rng(3)
     counts = rng.poisson(tomography.expected_counts(
         states.werner_state(0.83), sets, 200_000.0))
@@ -135,6 +133,45 @@ def test_no_exact_path_without_square_complete_settings():
     assert res.converged
     ref = _lbfgsb_nll(counts, sets)
     assert -res.log_likelihood <= ref + 1e-6 * abs(ref)
+
+
+def _all_six_settings():
+    labels = "HVDARL"
+    return [states.MeasurementSetting.from_labels(a, b)
+            for a in labels for b in labels]
+
+
+@pytest.mark.parametrize("sets", [states.tomography_settings(),
+                                  _all_six_settings()], ids=["16", "36"])
+def test_quadratic_forms_give_born_probabilities(sets):
+    projectors = np.stack([s.joint() for s in sets])
+    gmat = tomography._quadratic_forms(projectors)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        p = rng.normal(size=16)
+        rho = tomography._params_to_rho(p)
+        q = np.real(np.einsum("kij,ji->k", projectors, rho))
+        assert np.abs(gmat @ p @ p / (p @ p) - q).max() < 1e-13
+
+
+@pytest.mark.parametrize("sets", [states.tomography_settings(),
+                                  _all_six_settings()], ids=["16", "36"])
+def test_gradient_matches_central_differences(sets):
+    projectors = np.stack([s.joint() for s in sets])
+    gmat = tomography._quadratic_forms(projectors)
+    rng = np.random.default_rng(6)
+    counts = rng.poisson(1000.0, size=len(sets)).astype(float)
+    for _ in range(3):
+        p = rng.normal(size=16)
+        nll, grad = tomography._nll_and_gradient(p, counts, gmat)
+        ref = tomography._neg_log_likelihood(p, counts, projectors)
+        assert nll == pytest.approx(ref, rel=1e-12)
+        h = 1e-6
+        num = np.array([
+            (tomography._neg_log_likelihood(p + h * e, counts, projectors)
+             - tomography._neg_log_likelihood(p - h * e, counts, projectors))
+            / (2.0 * h) for e in np.eye(16)])
+        assert np.allclose(grad, num, rtol=1e-6, atol=1e-6 * counts.sum())
 
 
 def test_noisy_counts_still_close():
