@@ -12,6 +12,7 @@ import argparse
 import datetime
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -321,8 +322,20 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    # numpy's warnings are held back so that an error line comes first
-    with warnings.catch_warnings(record=True) as caught:
+    # numpy's warnings are held back so that an error line comes first; a
+    # forked pool worker inherits the hook and prints its own at once
+    held, pid = [], os.getpid()
+
+    def hold(message, category, filename, lineno, file=None, line=None):
+        text = (f"warning: {Path(filename).name}:{lineno}: "
+                f"{category.__name__}: {message}")
+        if os.getpid() == pid:
+            held.append(text)
+        else:
+            print(text, file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = hold
         try:
             code = _COMMANDS[args.cmd](args, config)
         except ConfigError as exc:
@@ -331,9 +344,8 @@ def main(argv=None) -> int:
         except Exception as exc:  # noqa: BLE001 - CLI boundary
             print(f"runtime error: {exc}", file=sys.stderr)
             code = EXIT_RUNTIME
-    for w in caught:
-        print(f"warning: {Path(w.filename).name}:{w.lineno}: "
-              f"{w.category.__name__}: {w.message}", file=sys.stderr)
+    for text in held:
+        print(text, file=sys.stderr)
     return code
 
 

@@ -38,7 +38,6 @@ _UNIT = np.concatenate([np.ones(10), np.full(6, 1j)])
 # the same column of L
 _G_PHASE = np.where(_COL[:, None] == _COL[None, :],
                     _UNIT.conj()[:, None] * _UNIT[None, :], 0.0)
-_MIXED_PARAMS = np.where(_ROW == _COL, 1.0, 0.0)  # L = I
 _Q_FLOOR = 1e-12  # smallest Born probability the likelihood evaluates
 _MAX_ITERATIONS = 2000
 _GTOL = 1e-9  # largest gradient entry at convergence, per count
@@ -153,9 +152,7 @@ def _quadratic_forms(projectors) -> np.ndarray:
 def _nll_and_gradient(params, counts, gmat):
     """_neg_log_likelihood and its gradient in the Cholesky parameters,
     from the quadratic forms gmat of _quadratic_forms."""
-    tr = params @ params
-    if tr <= 0:  # L = 0 stands for the maximally mixed state, as L = I
-        return _nll_and_gradient(_MIXED_PARAMS, counts, gmat)[0], np.zeros(16)
+    tr = params @ params  # > 0: BFGS starts at 1 and rejects a NaN step
     gp = gmat @ params
     nll, dq, q = _nll_of_q(gp @ params / tr, counts)
     # q_k = p.G_k p / p.p, so dq_k/dp = 2 (G_k p - q_k p) / p.p

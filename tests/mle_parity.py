@@ -1,6 +1,6 @@
 """Tomography MLE parity check, not collected by pytest.
 
-For seeds 0..N-1 of the packaged config and 1, 6, 12.5 and 200 s per
+For seeds 0-49 of the packaged config and 1, 6, 12.5 and 200 s per
 setting, this draws the default 16-setting tomography counts, fits them
 with `tomography.mle_tomography`, and fits them again with scipy's
 L-BFGS-B (finite-difference gradient) from the same start.  Per duration
@@ -18,7 +18,8 @@ largest fidelity difference to it.  Run from the repository root:
     PYTHONPATH=<other>/src python tests/mle_parity.py --save old.json
     PYTHONPATH=src python tests/mle_parity.py --against old.json
 
-scipy is a test dependency.
+scipy is a test dependency; the L-BFGS-B reference fit is the one
+tests/test_tomography.py uses.
 """
 
 from __future__ import annotations
@@ -29,57 +30,39 @@ import json
 import time
 
 import numpy as np
-from scipy.optimize import minimize
+from test_tomography import lbfgsb_fit
 
 from vapornode import simulate, states, tomography
 from vapornode.config import load_config
 
 DURATIONS_S = (1.0, 6.0, 12.5, 200.0)
+N_SEEDS = 50
 
 
-def _lbfgsb(counts, settings):
-    """(nll, fidelity) that L-BFGS-B reaches from the package's start, never
-    above the start."""
-    projectors = np.stack([s.joint() for s in settings])
-    x0 = tomography._rho_to_params(tomography.linear_inversion(counts,
-                                                               settings))
-    res = minimize(tomography._neg_log_likelihood, x0,
-                   args=(counts, projectors), method="L-BFGS-B",
-                   options={"maxiter": 2000, "gtol": 1e-8, "ftol": 1e-14})
-    f0 = tomography._neg_log_likelihood(x0, counts, projectors)
-    x = res.x if res.fun <= f0 else x0
-    rho = tomography._params_to_rho(x)
-    rho = (rho + rho.conj().T) / 2.0
-    return min(res.fun, f0), states.fidelity(rho, states.bell_phi_plus())
-
-
-def _exact_path(counts, settings) -> bool:
-    rho_ls = tomography._unclipped_inversion(
-        counts, tomography._design_matrix(settings))
-    return bool(np.linalg.eigvalsh(rho_ls).min() > 0)
-
-
-def run(n_seeds: int) -> list[dict]:
+def run() -> list[dict]:
     base = load_config()
     fits = []
     for duration in DURATIONS_S:
-        for seed in range(n_seeds):
+        for seed in range(N_SEEDS):
             cfg = dataclasses.replace(base, seed=seed)
             tc = simulate.run_tomography(cfg, duration_per_setting_s=duration)
-            counts = tc.counts.astype(float)
             t0 = time.perf_counter()
             res = tomography.mle_tomography(tc.counts, tc.settings)
             elapsed = time.perf_counter() - t0
-            ref_nll, ref_f = _lbfgsb(counts, tc.settings)
+            ref_nll, ref_x = lbfgsb_fit(tc.counts, tc.settings)
+            ref_rho = tomography._params_to_rho(ref_x)
+            ref_rho = (ref_rho + ref_rho.conj().T) / 2.0
             fits.append({
                 "duration_s": duration, "seed": seed,
                 "counts": tc.counts.tolist(),
                 "nll": -res.log_likelihood,
                 "fidelity": res.fidelity_to_target,
                 "iterations": res.iterations, "converged": res.converged,
-                "exact": _exact_path(counts, tc.settings),
+                "exact": res.iterations == 0,
                 "fit_s": elapsed,
-                "lbfgsb_nll": float(ref_nll), "lbfgsb_fidelity": ref_f,
+                "lbfgsb_nll": float(ref_nll),
+                "lbfgsb_fidelity": states.fidelity(ref_rho,
+                                                   states.bell_phi_plus()),
             })
     return fits
 
@@ -115,11 +98,10 @@ def report(fits: list[dict], against: list[dict] | None) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=50)
     parser.add_argument("--save", help="write the per-fit results as JSON")
     parser.add_argument("--against", help="per-fit JSON of another version")
     args = parser.parse_args()
-    fits = run(args.seeds)
+    fits = run()
     if args.save:
         with open(args.save, "w") as f:
             json.dump(fits, f)

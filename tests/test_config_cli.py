@@ -217,6 +217,25 @@ def test_error_line_before_numpy_warnings(tmp_path, raw):
     assert all(line.startswith("warning: ") for line in lines[1:])
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_pool_worker_warnings_reach_stderr(tmp_path, raw, workers):
+    # a 1e300 s envelope overflows the tag cast inside _simulate_block; a
+    # forked worker inherits the CLI's warning hook and must still print
+    data = copy.deepcopy(raw)
+    _set(data, "memory.retrieved_pulse.core_fwhm_ns", 1.0e300)
+    src = Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run(
+        [sys.executable, "-m", "vapornode.cli", "solo", "--trials", "70000",
+         "--workers", workers, "--config", _write(tmp_path, data), "--out",
+         str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert res.returncode == 0
+    lines = res.stderr.splitlines()
+    assert lines
+    assert all(line.startswith("warning: simulate.py:") for line in lines)
+
+
 @pytest.mark.parametrize("key", ["memory.retrieved_pulse.core_fwhm_ns",
                                  "memory.retrieved_pulse.pedestal_fwhm_ns",
                                  "detectors.nir.jitter_ps"])
@@ -229,8 +248,8 @@ def test_huge_pulse_widths_do_not_overflow(tmp_path, raw, capsys, key, argv):
     _set(data, key, 1.0e300)
     rc = cli.main(argv + ["--config", _write(tmp_path, data),
                           "--out", str(tmp_path / "out")])
-    assert rc in (0, 3, 4)
-    assert "Numerical result out of range" not in capsys.readouterr().err
+    assert rc == 0
+    assert "runtime error:" not in capsys.readouterr().err
 
 
 def test_workers_not_in_hash():

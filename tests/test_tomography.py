@@ -64,16 +64,18 @@ def test_mle_not_worse_than_linear_inversion():
         assert ll_mle >= ll_init - 1e-6
 
 
-def _lbfgsb_nll(counts, settings):
-    """Negative log-likelihood that scipy's L-BFGS-B (finite-difference
-    gradient) reaches from the same starting point, never above the start."""
+def lbfgsb_fit(counts, settings):
+    """(nll, params) that scipy's L-BFGS-B (finite-difference gradient)
+    reaches from the same starting point, never above the start.  Also used
+    by tests/mle_parity.py."""
     counts = np.asarray(counts, dtype=float)
     projectors = np.stack([s.joint() for s in settings])
     x0 = tomography._rho_to_params(tomography.linear_inversion(counts, settings))
     res = minimize(tomography._neg_log_likelihood, x0,
                    args=(counts, projectors), method="L-BFGS-B",
                    options={"maxiter": 2000, "gtol": 1e-8, "ftol": 1e-14})
-    return min(res.fun, tomography._neg_log_likelihood(x0, counts, projectors))
+    f0 = tomography._neg_log_likelihood(x0, counts, projectors)
+    return (res.fun, res.x) if res.fun <= f0 else (f0, x0)
 
 
 @pytest.mark.parametrize("duration", [1.0, 6.0, 12.5])
@@ -84,7 +86,7 @@ def test_mle_matches_scipy_lbfgsb(duration):
         tc = simulate.run_tomography(cfg, duration_per_setting_s=duration)
         res = tomography.mle_tomography(tc.counts, tc.settings)
         assert res.converged
-        ref = _lbfgsb_nll(tc.counts, tc.settings)
+        ref, _ = lbfgsb_fit(tc.counts, tc.settings)
         assert -res.log_likelihood <= ref + 1e-6 * abs(ref)
         states.validate_density_matrix(res.rho)
 
@@ -113,7 +115,7 @@ def test_exact_path_on_positive_definite_inversion(counts):
     # the saturated model reproduces every count
     assert np.allclose(tomography.expected_counts(res.rho, sets, counts.sum()),
                        counts, rtol=1e-9, atol=1e-12 * counts.sum())
-    ref = _lbfgsb_nll(counts, sets)
+    ref, _ = lbfgsb_fit(counts, sets)
     assert -res.log_likelihood <= ref + 1e-12 * abs(ref)
 
 
@@ -131,7 +133,7 @@ def test_no_exact_path_without_square_complete_settings():
     res = tomography.mle_tomography(counts, sets)
     assert res.iterations > 0
     assert res.converged
-    ref = _lbfgsb_nll(counts, sets)
+    ref, _ = lbfgsb_fit(counts, sets)
     assert -res.log_likelihood <= ref + 1e-6 * abs(ref)
 
 
