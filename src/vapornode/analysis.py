@@ -151,15 +151,15 @@ class ExponentialFit:
     excluded_points: int = 0
 
 
-def fit_exponential(t, y, sigma=None) -> ExponentialFit:
-    """Fit y = A exp(-t/tau) by weighted least squares on log y, refined with
-    a direct nonlinear fit.  Non-positive y points are excluded with a count.
+def fit_exponential(t, y) -> ExponentialFit:
+    """Fit y = A exp(-t/tau) by least squares on log y, refined with a
+    direct nonlinear fit.  Non-positive y points are excluded with a count.
 
     The nonlinear fit uses variable projection (Golub & Pereyra, SIAM J.
     Numer. Anal. 10, 413, 1973): A is closed-form for each tau, and the
     stationary point of the projected residual in log tau is bracketed from
     the log-linear estimate and bisected.  The covariance comes from the
-    Jacobian, scaled by chi^2/dof when sigma is not given.
+    Jacobian, scaled by chi^2/dof.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -167,22 +167,17 @@ def fit_exponential(t, y, sigma=None) -> ExponentialFit:
         raise ValueError("t and y length mismatch")
     if np.any(np.diff(t) <= 0):
         raise ValueError("t must be strictly increasing")
-    sig = None if sigma is None else np.asarray(sigma, dtype=float)
     keep = y > 0
     excluded = int((~keep).sum())
     t, y = t[keep], y[keep]
-    if sig is not None:
-        sig = sig[keep]
     if t.size < 3:
         raise ValueError("need at least 3 usable points")
 
-    wts = 1.0 / (sig / y) ** 2 if sig is not None else np.ones_like(y)
-    # weighted linear fit of log y = log A - t/tau
-    sw = wts.sum()
-    tm = (wts * t).sum() / sw
-    lm = (wts * np.log(y)).sum() / sw
-    denom = (wts * (t - tm) ** 2).sum()
-    slope = (wts * (t - tm) * (np.log(y) - lm)).sum() / denom
+    # linear fit of log y = log A - t/tau
+    log_y = np.log(y)
+    lm = log_y.mean()
+    dt = t - t.mean()
+    slope = (dt * (log_y - lm)).sum() / (dt * dt).sum()
     non_decaying = ExponentialFit(
         amplitude=float(np.exp(lm)),
         tau_s=math.inf,
@@ -193,16 +188,14 @@ def fit_exponential(t, y, sigma=None) -> ExponentialFit:
     if slope >= 0:
         return non_decaying
 
-    w = np.ones_like(y) if sig is None else 1.0 / sig**2
-
     def amplitude(s):
         e = np.exp(-t / math.exp(s))
-        return (w * e * y).sum() / (w * e * e).sum(), e
+        return (e * y).sum() / (e * e).sum(), e
 
     def descending(s):
         # True while the projected residual still falls as log tau grows
         a, e = amplitude(s)
-        return (w * e * t * (y - a * e)).sum() > 0.0
+        return (e * t * (y - a * e)).sum() > 0.0
 
     # bracket the minimum from the log-linear estimate, doubling the step;
     # 50 e-folds away exp(-t/tau) has reached 1 or 0 at every point
@@ -228,12 +221,11 @@ def fit_exponential(t, y, sigma=None) -> ExponentialFit:
     a, e = amplitude(s)
     tau = math.exp(s)
 
-    # covariance of (A, log tau) from the weighted Jacobian
+    # covariance of (A, log tau) from the Jacobian
     ja, js = e, a * e * t / tau
-    faa, fas, fss = (w * ja * ja).sum(), (w * ja * js).sum(), (w * js * js).sum()
+    faa, fas, fss = (ja * ja).sum(), (ja * js).sum(), (js * js).sum()
     var_s = faa / (faa * fss - fas * fas)
-    if sig is None:
-        var_s *= (w * (y - a * e) ** 2).sum() / (t.size - 2)
+    var_s *= ((y - a * e) ** 2).sum() / (t.size - 2)
     return ExponentialFit(
         amplitude=float(a),
         tau_s=tau,

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, analysis, experiments, optics, simulate, spectra, tomography
 from .config import ConfigError, NodeConfig, load_config
 from .histograms import write_csv
-from .states import MeasurementSetting, _KETS
+from .states import MeasurementSetting
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,6 +44,16 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _check_finite(name: str, payload: dict) -> None:
+    """Raise ValueError naming the JSON file and the top-level key of
+    payload that holds a non-finite number."""
+    for key, value in payload.items():
+        try:
+            json.dumps(value, allow_nan=False)
+        except ValueError:
+            raise ValueError(f"{name}: {key} is not finite") from None
+
+
 class _Run:
     """Collects output paths and warnings, writes the manifest at the end."""
 
@@ -62,13 +72,7 @@ class _Run:
         return p
 
     def write_json(self, name: str, payload: dict) -> None:
-        """Write payload as JSON; a non-finite number raises ValueError
-        naming the file and the top-level key that holds it."""
-        for key, value in payload.items():
-            try:
-                json.dumps(value, allow_nan=False)
-            except ValueError:
-                raise ValueError(f"{name}: {key} is not finite") from None
+        _check_finite(name, payload)
         with open(self.path(name), "w") as f:
             json.dump(payload, f, indent=2, sort_keys=True, allow_nan=False)
             f.write("\n")
@@ -98,15 +102,12 @@ def _cmd_histograms(args, config: NodeConfig, mode: str) -> int:
         metrics, runs = experiments.solo_metrics(config, args.trials)
     else:
         metrics, runs = experiments.source_metrics(config, args.trials)
+    payload = metrics.to_json_dict()
+    _check_finite("metrics.json", payload)  # before the first file
     run = _Run(config, args)
     for cond in ("memory", "input", "no_input"):
         getattr(runs, cond).to_csv(run.path(f"hist_{cond}.csv"))
-    payload = metrics.to_json_dict()
-    if args.format == "json":
-        run.write_json("metrics.json", payload)
-    else:
-        write_csv(run.path("metrics.csv"), "key,value", ("", ""),
-                  sorted(payload.items()))
+    run.write_json("metrics.json", payload)
     if metrics.snr_lower_bound:
         run.warn("empty noise window: SNR is a lower bound")
     return run.finish()
@@ -115,20 +116,20 @@ def _cmd_histograms(args, config: NodeConfig, mode: str) -> int:
 def _parse_settings(text: str):
     settings = []
     for i, token in enumerate(text.split(",")):
-        token = token.strip()
-        if len(token) != 2 or any(c not in _KETS for c in token):
-            raise ConfigError(f"settings[{i}]: malformed setting {token!r}")
-        settings.append(MeasurementSetting.from_labels(token[0], token[1]))
+        try:
+            settings.append(MeasurementSetting(token.strip()))
+        except ValueError as exc:
+            raise ConfigError(f"settings[{i}]: {exc}") from None
+    if not tomography.informationally_complete(settings):
+        raise ConfigError("settings: not informationally complete")
     return settings
 
 
 def _cmd_tomography(args, config: NodeConfig) -> int:
-    settings = _parse_settings(args.settings) if args.settings else None
+    settings = None if args.settings is None else _parse_settings(args.settings)
     counts = simulate.run_tomography(
         config, settings=settings, duration_per_setting_s=args.duration
     )
-    if not counts.informationally_complete:
-        raise ConfigError("settings: not informationally complete")
     result = tomography.mle_tomography(counts.counts, counts.settings)
     run = _Run(config, args)
     write_csv(run.path("counts.csv"), "setting,triggers,coincidences",
@@ -233,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--out", default="run_out", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="json")
         if trials:
             p.add_argument("--trials", type=int, default=1_000_000)
 
@@ -323,7 +323,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     # numpy's warnings are held back so that an error line comes first; a
-    # forked pool worker inherits the hook and prints its own at once
+    # forked pool worker inherits the hook and prints its own at once, in
+    # one write so that lines from two workers cannot interleave
     held, pid = [], os.getpid()
 
     def hold(message, category, filename, lineno, file=None, line=None):
@@ -332,7 +333,7 @@ def main(argv=None) -> int:
         if os.getpid() == pid:
             held.append(text)
         else:
-            print(text, file=sys.stderr)
+            sys.stderr.write(text + "\n")
 
     with warnings.catch_warnings():
         warnings.showwarning = hold

@@ -200,7 +200,7 @@ def parse_config(data: dict) -> NodeConfig:
                 **src.fields("telecom_rate_hz heralding_eta werner_a "
                              "input_pulse_fwhm_ns"),
                 telecom_cavity=CavitySpec(**src.section("telecom_cavity").fields(
-                    "fwhm_mhz fsr_ghz center_detuning_ghz"))),
+                    "fwhm_mhz fsr_ghz"))),
             memory=MemoryParams(
                 **mem.fields("eta0_internal source_efficiency_ratio "
                              "tau_coherence_us retrieval_delay_ns "

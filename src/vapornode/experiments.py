@@ -29,17 +29,14 @@ class ConditionRuns:
     no_input: Histogram
 
 
-def run_conditions(config: NodeConfig, mode: str, n_trials: int,
-                   extra_storage_s: float = 0.0) -> ConditionRuns:
+def run_conditions(config: NodeConfig, mode: str,
+                   n_trials: int) -> ConditionRuns:
     """The three standard histograms: storage+retrieval, memory bypassed
     (pass-through pulse), and no input light (noise only)."""
     if mode == "solo":
-        if extra_storage_s:
-            raise ValueError("storage-time scans need triggered operation")
         run = lambda c: simulate.run_solo(config, c, n_trials)
     elif mode == "source":
-        run = lambda c: simulate.run_source(
-            config, c, n_trials, extra_storage_s=extra_storage_s)
+        run = lambda c: simulate.run_source(config, c, n_trials)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return ConditionRuns(

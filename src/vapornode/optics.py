@@ -9,7 +9,7 @@ resonance is below 1%.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class CavitySpec:
 
     fwhm_hz: float
     fsr_hz: float
-    center_detuning_hz: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.fwhm_hz < self.fsr_hz and math.isfinite(self.fsr_hz)):
@@ -56,7 +55,8 @@ def cavity_transmission(cavity: CavitySpec, detuning_hz: float):
     The detuning is wrapped to within fsr/2 of a resonance, exactly at any
     finite detuning (fmod is exact).  Accepts scalars or arrays.
     """
-    d = np.asarray(detuning_hz, dtype=float) - cavity.center_detuning_hz
+    # [()] turns a 0-d array into a scalar, whose arithmetic is faster
+    d = np.asarray(detuning_hz, dtype=float)[()]
     # fmod is slow on arrays; skip it where it changes nothing
     if np.abs(d).max(initial=0.0) >= cavity.fsr_hz:
         d = np.fmod(d, cavity.fsr_hz)
@@ -88,13 +88,9 @@ def cascade_effective_fwhm(cascade: FilterCascade) -> float:
     half-transmission point.  For N identical co-centered Lorentzian passes
     this equals fwhm * sqrt(2^(1/N) - 1)."""
 
-    # relative response: ignore each stage's center offset
-    stages = [(replace(cavity, center_detuning_hz=0.0), passes)
-              for cavity, passes in cascade.stages]
-
     def resp(d):
         t = 1.0
-        for cavity, passes in stages:
+        for cavity, passes in cascade.stages:
             t *= cavity_transmission(cavity, d) ** passes
         return t
 

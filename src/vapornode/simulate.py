@@ -344,12 +344,6 @@ class TomographyCounts:
     settings: list
     counts: np.ndarray
     triggers_per_setting: np.ndarray
-    informationally_complete: bool
-
-
-def _settings_complete(settings) -> bool:
-    vecs = np.stack([s.joint().reshape(-1) for s in settings])
-    return np.linalg.matrix_rank(vecs, tol=1e-9) == 16
 
 
 def run_tomography(
@@ -393,6 +387,5 @@ def run_tomography(
         settings=list(settings),
         counts=counts,
         triggers_per_setting=triggers,
-        informationally_complete=_settings_complete(settings),
     )
 

@@ -12,7 +12,7 @@ detuning d_N = pairing_sum - d_T.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,10 +143,7 @@ def heralding_vs_cavity_detuning(
     rest is built once per model.
     """
     nu, s, s_total, surv = _herald_grid(model)
-    # cavity_detuning_hz is the absolute cavity position; ignore any center
-    # baked into the spec so scans do not double-shift
-    recentered = replace(cavity, center_detuning_hz=0.0)
-    t = cavity_transmission(recentered, nu - cavity_detuning_hz) ** _PASSES
+    t = cavity_transmission(cavity, nu - cavity_detuning_hz) ** _PASSES
     ts = t * s
     rate = float(np.trapezoid(ts, nu))
     if rate <= 1e-30 * s_total:

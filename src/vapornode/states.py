@@ -7,7 +7,7 @@ qubit A is the telecom arm, qubit B is the NIR arm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -49,52 +49,43 @@ def projector(label: str) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+@lru_cache(maxsize=None)
+def _product_projectors(label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (P_a (x) P_b, P_a (x) I) for a two-letter label, built
+    once per label."""
+    pa, pb = projector(label[0]), projector(label[1])
+    arrays = (np.kron(pa, pb), np.kron(pa, np.eye(2)))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """One joint polarization projection: telecom arm x NIR arm.
+    """One joint polarization projection, named by two kets: the telecom
+    arm's, then the NIR arm's (e.g. "HV").  Settings compare and hash by
+    label."""
 
-    The joint projector and the telecom marginal are built once, as
-    read-only arrays, from read-only copies of the two projectors.
-    """
-
-    projector_a: np.ndarray
-    projector_b: np.ndarray
-    label: str = ""
-    _joint: np.ndarray = field(init=False, repr=False, compare=False)
-    _marginal_a: np.ndarray = field(init=False, repr=False, compare=False)
+    label: str
 
     def __post_init__(self):
-        pa = _frozen(np.array(self.projector_a))
-        pb = _frozen(np.array(self.projector_b))
-        object.__setattr__(self, "projector_a", pa)
-        object.__setattr__(self, "projector_b", pb)
-        object.__setattr__(self, "_joint", _frozen(np.kron(pa, pb)))
-        object.__setattr__(self, "_marginal_a",
-                           _frozen(np.kron(pa, np.eye(2))))
-
-    @classmethod
-    def from_labels(cls, a: str, b: str) -> "MeasurementSetting":
-        return cls(projector(a), projector(b), label=a + b)
+        if not (isinstance(self.label, str) and len(self.label) == 2
+                and all(c in _KETS for c in self.label)):
+            raise ValueError(f"malformed setting {self.label!r}")
 
     def joint(self) -> np.ndarray:
         """4x4 joint projector P_a (x) P_b in the (HH, HV, VH, VV) basis."""
-        return self._joint
+        return _product_projectors(self.label)[0]
 
     def marginal_a(self) -> np.ndarray:
         """4x4 telecom-arm marginal P_a (x) I."""
-        return self._marginal_a
+        return _product_projectors(self.label)[1]
 
 
 @lru_cache(maxsize=1)
 def _default_settings() -> tuple[MeasurementSetting, ...]:
-    labels = ("H", "V", "D", "R")
-    return tuple(MeasurementSetting.from_labels(a, b)
-                 for a in labels for b in labels)
+    labels = "HVDR"
+    return tuple(MeasurementSetting(a + b) for a in labels for b in labels)
 
 
 def tomography_settings() -> list[MeasurementSetting]:

@@ -95,6 +95,12 @@ def _design_matrix(settings) -> np.ndarray:
     return np.stack([s.joint().conj().reshape(-1) for s in settings])
 
 
+def informationally_complete(settings) -> bool:
+    """True when the settings' projectors span the two-qubit operators, so
+    that their counts determine the state."""
+    return np.linalg.matrix_rank(_design_matrix(settings), tol=1e-9) == 16
+
+
 def _unclipped_inversion(counts, amat) -> np.ndarray:
     """Hermitian least-squares solution of amat @ vec(rho) = counts, scaled
     to a rough unit trace for product sets."""
@@ -221,7 +227,7 @@ def mle_tomography(counts, settings=None) -> TomographyResult:
     amat = _design_matrix(settings)
     rho_ls = _unclipped_inversion(counts, amat)
 
-    if (amat.shape == (16, 16) and np.linalg.matrix_rank(amat) == 16
+    if (len(settings) == 16 and informationally_complete(settings)
             and np.linalg.eigvalsh(rho_ls).min() > 0):
         # saturated model: this state reproduces every count exactly
         rho = rho_ls / np.real(rho_ls.trace())

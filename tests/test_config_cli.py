@@ -79,6 +79,7 @@ _UNKNOWN_KEYS = {
     "timing.write_pulse_len_ns": 5.0,
     "timing.write_fall_ns": 0.3,
     "analysis.measured_filter_bandwidth_mhz_2pi": 182.0,
+    "source.telecom_cavity.center_detuning_ghz": 1.1,
 }
 
 
@@ -273,6 +274,7 @@ def test_cli_usage_errors(capsys):
     assert cli.main(["not-a-command"]) == 64
     assert cli.main(["solo", "--trials", "0"]) == 64
     assert cli.main(["solo", "--workers", "0"]) == 64
+    assert cli.main(["solo", "--format", "json"]) == 64
     capsys.readouterr()
 
 
@@ -328,17 +330,6 @@ def test_cli_solo_run(tmp_path):
     assert manifest["warnings"] == []
 
 
-def test_cli_csv_format(tmp_path):
-    out = tmp_path / "solo_csv"
-    rc = cli.main(["solo", "--trials", "20000", "--out", str(out),
-                   "--format", "csv"])
-    assert rc == 0
-    lines = (out / "metrics.csv").read_text().splitlines()
-    assert lines[0] == "key,value"
-    assert any(line.startswith("snr,") for line in lines)
-    assert not (out / "metrics.json").exists()
-
-
 def test_cli_outputs_reproducible(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out, workers in ((a, "1"), (b, "4")):
@@ -380,14 +371,35 @@ def test_cli_tomography(tmp_path, capsys):
 
 
 def test_cli_tomography_bad_settings(tmp_path, capsys):
-    rc = cli.main(["tomography", "--settings", "HH,HQ",
-                   "--out", str(tmp_path / "t1")])
-    assert rc == 2
-    assert "settings[1]" in capsys.readouterr().err
-    # well-formed but informationally incomplete
-    rc = cli.main(["tomography", "--settings", "HH,HV,VH,VV",
-                   "--out", str(tmp_path / "t2")])
-    assert rc == 2
+    # the last two are well-formed but informationally incomplete: H + V =
+    # D + A = I, so the 16 settings of {H, V, D, A} span only 9 dimensions
+    for i, (text, message) in enumerate([
+        ("HH,HQ", "settings[1]: malformed setting 'HQ'"),
+        ("", "settings[0]: malformed setting ''"),
+        ("HH,HV,VH,VV", "settings: not informationally complete"),
+        (",".join(a + b for a in "HVDA" for b in "HVDA"),
+         "settings: not informationally complete"),
+    ]):
+        out = tmp_path / f"t{i}"
+        rc = cli.main(["tomography", "--settings", text, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()  # checked before any sampling or output
+
+
+@pytest.mark.parametrize("cmd", ["solo", "source"])
+def test_cli_non_finite_metrics_leave_no_files(tmp_path, raw, capsys, cmd):
+    # a vanishing noise window makes the SNR non-finite: the run stops
+    # before it writes the histograms, not after
+    data = copy.deepcopy(raw)
+    _set(data, "analysis.noise_window_ns", 1.0e-300)
+    out = tmp_path / "out"
+    rc = cli.main([cmd, "--trials", "20000", "--config",
+                   _write(tmp_path, data), "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "runtime error: metrics.json: snr is not finite")
+    assert not out.exists()
 
 
 def test_cli_tomography_zero_duration_is_runtime_error(tmp_path, capsys):

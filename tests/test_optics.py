@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from vapornode import optics
 
 
-def _cavity(fwhm_ghz=1.55, fsr_ghz=60.2, center_ghz=0.0):
-    return optics.CavitySpec(fwhm_ghz * 1e9, fsr_ghz * 1e9, center_ghz * 1e9)
+def _cavity(fwhm_ghz=1.55, fsr_ghz=60.2):
+    return optics.CavitySpec(fwhm_ghz * 1e9, fsr_ghz * 1e9)
 
 
 def test_cavity_spec_invariant():

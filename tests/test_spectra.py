@@ -189,8 +189,7 @@ def _heralding_reference(model, cavity, dc):
     """The heralding integrals computed inline, with no shared grid: an
     8 GHz band on 4001 points, double-passed."""
     nu = np.linspace(-4e9, 4e9, 4001)
-    recentered = dataclasses.replace(cavity, center_detuning_hz=0.0)
-    t = cavity_transmission(recentered, nu - dc) ** 2
+    t = cavity_transmission(cavity, nu - dc) ** 2
     s = spectra.telecom_spectrum(model, nu)
     rate = float(np.trapezoid(t * s, nu))
     surv = model.nir_survival(model.paired_nir_detuning(nu))

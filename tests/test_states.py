@@ -111,11 +111,11 @@ def test_chsh_werner_linear():
 
 def test_outcome_probabilities():
     phi = states.bell_phi_plus()
-    hh = states.MeasurementSetting.from_labels("H", "H")
-    hv = states.MeasurementSetting.from_labels("H", "V")
+    hh = states.MeasurementSetting("HH")
+    hv = states.MeasurementSetting("HV")
     assert states.outcome_probability(phi, hh) == pytest.approx(0.5, abs=1e-12)
     assert states.outcome_probability(phi, hv) == pytest.approx(0.0, abs=1e-12)
-    dd = states.MeasurementSetting.from_labels("D", "D")
+    dd = states.MeasurementSetting("DD")
     for a in (0.0, 0.3, 1.0):
         assert states.outcome_probability(
             states.werner_state(a), dd
@@ -131,7 +131,7 @@ def test_tomography_settings_complete():
 
 def test_setting_projectors_cached_read_only():
     for setting in states.tomography_settings():
-        pa, pb = setting.projector_a, setting.projector_b
+        pa, pb = (states.projector(c) for c in setting.label)
         for arr, ref in ((setting.joint(), np.kron(pa, pb)),
                          (setting.marginal_a(), np.kron(pa, np.eye(2)))):
             assert np.array_equal(arr, ref)
@@ -139,7 +139,23 @@ def test_setting_projectors_cached_read_only():
             with pytest.raises(ValueError):
                 arr[0, 0] = 0.0
         assert setting.joint() is setting.joint()
-        assert not pa.flags.writeable and not pb.flags.writeable
+        # built once per label, not once per setting object
+        again = states.MeasurementSetting(setting.label)
+        assert again.joint() is setting.joint()
+
+
+def test_settings_compare_and_hash_by_label():
+    defaults = states.tomography_settings()
+    assert len(set(defaults)) == 16
+    rebuilt = [states.MeasurementSetting(s.label) for s in defaults]
+    assert states.MeasurementSetting("HV") == defaults[1]
+    assert rebuilt == defaults
+    assert set(rebuilt) == set(defaults)
+    assert {s: i for i, s in enumerate(defaults)}[rebuilt[5]] == 5
+    assert states.MeasurementSetting("HV") != states.MeasurementSetting("VH")
+    for label in ("HX", "H", "HVD", "", "hv", 7):
+        with pytest.raises(ValueError, match="malformed setting"):
+            states.MeasurementSetting(label)
 
 
 def test_tomography_settings_new_list_per_call():

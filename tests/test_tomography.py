@@ -137,10 +137,26 @@ def test_no_exact_path_without_square_complete_settings():
     assert -res.log_likelihood <= ref + 1e-6 * abs(ref)
 
 
+def test_informationally_complete():
+    # H + V = D + A = I, so these 16 square settings span only 9 dimensions
+    hvda = [states.MeasurementSetting(a + b) for a in "HVDA" for b in "HVDA"]
+    assert tomography.informationally_complete(states.tomography_settings())
+    assert tomography.informationally_complete(_all_six_settings())
+    assert not tomography.informationally_complete(hvda)
+    assert not tomography.informationally_complete(hvda[:4])
+    # square but not complete: no exact path even where the least-squares
+    # inversion is positive definite
+    counts = np.random.default_rng(3).poisson(tomography.expected_counts(
+        states.werner_state(0.3), hvda, 200_000.0))
+    rho_ls = tomography._unclipped_inversion(
+        counts.astype(float), tomography._design_matrix(hvda))
+    assert np.linalg.eigvalsh(rho_ls).min() > 0
+    assert tomography.mle_tomography(counts, hvda).iterations > 0
+
+
 def _all_six_settings():
     labels = "HVDARL"
-    return [states.MeasurementSetting.from_labels(a, b)
-            for a in labels for b in labels]
+    return [states.MeasurementSetting(a + b) for a in labels for b in labels]
 
 
 @pytest.mark.parametrize("sets", [states.tomography_settings(),
