@@ -240,6 +240,7 @@ class SweepResult:
     rates_pairs_per_s: np.ndarray
     fidelities: np.ndarray
     per_trial_success: np.ndarray
+    lower_bound: bool  # the shared noise window was empty: SNRs are bounds
 
     def to_csv(self, path) -> None:
         write_csv(path, "window_ns,rate_pairs_per_s,fidelity,per_trial",
@@ -254,30 +255,28 @@ def window_sweep(
     noise_window_start_s: float,
     noise_window_s: float,
     window_sizes_s,
-    corrections: dict,
+    correction: float,
     trial_rate_hz: float,
 ) -> SweepResult:
     """Rate and predicted fidelity vs detection-window size.
 
     Each window is centered on the histogram peak.  The pair rate counts
     every detection in the window (the noise ones degrade fidelity, not the
-    rate) corrected for analyzer transmission, detector efficiency, and the
-    undetected |VV> fraction; the fidelity comes from the noise-subtracted
-    SNR through the Werner model.
+    rate) divided by `correction`, the product of analyzer transmission,
+    detector efficiency and the detected (non-|VV>) fraction; the fidelity
+    comes from the noise-subtracted SNR through the Werner model.
     """
-    for key in ("qst", "detector", "vv_fraction"):
-        if key not in corrections or not 0.0 < corrections[key] <= 1.0:
-            raise ValueError(f"correction {key!r} must be in (0, 1]")
+    if not 0.0 < correction <= 1.0:
+        raise ValueError(f"correction must be in (0, 1], got {correction}")
     if hist_signal.n_trials < 1:
         raise ValueError("histogram must carry its trial count")
-    correction = (
-        corrections["qst"] * corrections["detector"] * corrections["vv_fraction"]
-    )
     windows = np.sort(np.asarray(list(window_sizes_s), dtype=float))
     rates, fids, per_trial = [], [], []
+    lower_bound = False
     for w in windows:
         spec = centered_window(hist_signal, w, noise_window_start_s, noise_window_s)
         res = extract_snr(hist_signal, spec)
+        lower_bound = res.lower_bound  # the same for every window
         captured = window_counts(hist_signal, spec.signal_start_s, w)
         pt = captured / hist_signal.n_trials
         per_trial.append(pt)
@@ -288,6 +287,7 @@ def window_sweep(
         rates_pairs_per_s=np.asarray(rates),
         fidelities=np.asarray(fids),
         per_trial_success=np.asarray(per_trial),
+        lower_bound=lower_bound,
     )
 
 

@@ -9,6 +9,7 @@ lower-bound flags), 64 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -97,12 +98,9 @@ class _Run:
         return EXIT_WARNINGS if self.warnings else EXIT_OK
 
 
-def _cmd_histograms(args, config: NodeConfig, mode: str) -> int:
-    if mode == "solo":
-        metrics, runs = experiments.solo_metrics(config, args.trials)
-    else:
-        metrics, runs = experiments.source_metrics(config, args.trials)
-    payload = metrics.to_json_dict()
+def _cmd_histograms(args, config: NodeConfig, metrics_fn) -> int:
+    metrics, runs = metrics_fn(config, args.trials)
+    payload = dataclasses.asdict(metrics)
     _check_finite("metrics.json", payload)  # before the first file
     run = _Run(config, args)
     for cond in ("memory", "input", "no_input"):
@@ -152,6 +150,8 @@ def _cmd_sweep_window(args, config: NodeConfig) -> int:
         "fidelity": sweep.fidelities.tolist(),
         "per_trial": sweep.per_trial_success.tolist(),
     })
+    if sweep.lower_bound:
+        run.warn("empty noise window: SNR is a lower bound")
     return run.finish()
 
 
@@ -271,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "solo": lambda a, c: _cmd_histograms(a, c, "solo"),
-    "source": lambda a, c: _cmd_histograms(a, c, "source"),
+    "solo": lambda a, c: _cmd_histograms(a, c, experiments.solo_metrics),
+    "source": lambda a, c: _cmd_histograms(a, c, experiments.source_metrics),
     "tomography": _cmd_tomography,
     "sweep-window": _cmd_sweep_window,
     "utility": _cmd_utility,

@@ -211,7 +211,7 @@ def parse_config(data: dict) -> NodeConfig:
             solo=SoloParams(**root.section("solo").fields(
                 "mean_photon_number input_pulse_fwhm_ns")),
             detector_nir=DetectorParams(**root.section("detectors").section(
-                "nir").fields("efficiency jitter_ps jitter_convention:str")),
+                "nir").fields("efficiency jitter_ps")),
             timing=TimingConfig(**root.section("timing").fields(
                 "op_off_ns retrieve_at_ns op_on_ns clock_period_us "
                 "tag_resolution_ps bin_width_ps")),

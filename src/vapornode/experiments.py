@@ -33,15 +33,12 @@ def run_conditions(config: NodeConfig, mode: str,
                    n_trials: int) -> ConditionRuns:
     """The three standard histograms: storage+retrieval, memory bypassed
     (pass-through pulse), and no input light (noise only)."""
-    if mode == "solo":
-        run = lambda c: simulate.run_solo(config, c, n_trials)
-    elif mode == "source":
-        run = lambda c: simulate.run_source(config, c, n_trials)
-    else:
+    # looked up per call, so that a replaced module attribute is used
+    run = {"solo": simulate.run_solo, "source": simulate.run_source}.get(mode)
+    if run is None:
         raise ValueError(f"unknown mode {mode!r}")
-    return ConditionRuns(
-        memory=run("memory"), input=run("input"), no_input=run("no_input")
-    )
+    return ConditionRuns(*(run(config, c, n_trials)
+                           for c in simulate.CONDITIONS))
 
 
 @dataclass
@@ -54,18 +51,6 @@ class NodeMetrics:
     noise_floor_per_trial: float
     mean_photon_number: float | None = None
     snr_photon_normalized: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_trials": self.n_trials,
-            "snr": self.snr,
-            "snr_lower_bound": self.snr_lower_bound,
-            "storage_efficiency": self.storage_efficiency,
-            "noise_floor_per_trial": self.noise_floor_per_trial,
-            "mean_photon_number": self.mean_photon_number,
-            "snr_photon_normalized": self.snr_photon_normalized,
-        }
 
 
 def _full_window_efficiency(config: NodeConfig, memory: Histogram,
@@ -147,11 +132,8 @@ def detection_window_sweep(config: NodeConfig, n_trials: int,
         a.noise_window_start_s,
         a.noise_window_s,
         a.sweep_windows_s,
-        corrections={
-            "qst": a.qst_transmission,
-            "detector": config.detector_nir.efficiency,
-            "vv_fraction": a.vv_fraction,
-        },
+        correction=(a.qst_transmission * config.detector_nir.efficiency
+                    * a.vv_fraction),
         trial_rate_hz=config.source.telecom_rate_hz,
     )
 

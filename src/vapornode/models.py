@@ -79,20 +79,15 @@ class MemoryParams:
 @dataclass(frozen=True)
 class DetectorParams:
     efficiency: float
-    jitter_s: float  # quoted timing jitter
-    jitter_convention: str = "fwhm"  # quoted value is FWHM (default) or sigma
+    jitter_s: float  # timing jitter, FWHM
 
     def __post_init__(self):
         _check_fraction("efficiency", self.efficiency)
         if self.jitter_s < 0:
             raise ValueError("jitter must be >= 0")
-        if self.jitter_convention not in ("fwhm", "sigma"):
-            raise ValueError("jitter_convention must be 'fwhm' or 'sigma'")
 
     @property
     def jitter_sigma_s(self) -> float:
-        if self.jitter_convention == "sigma":
-            return self.jitter_s
         return self.jitter_s * FWHM_TO_SIGMA
 
 

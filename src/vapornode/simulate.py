@@ -221,32 +221,42 @@ def _check_delay(extra_storage_s: float) -> None:
         )
 
 
+@dataclass(frozen=True)
+class _Mode:
+    """What separates the two operating modes."""
+
+    amp: float  # mean photon number (solo) or heralding efficiency (source)
+    eta0: float  # storage efficiency at the nominal retrieval
+    input_fwhm_s: float  # pass-through input pulse
+    period_s: float  # fixed clock period, or 0 for Poisson triggers
+    rate_hz: float  # trigger rate, or 0 for a clock
+
+
+def _mode(config: NodeConfig, mode: str) -> _Mode:
+    if mode == "solo":
+        solo = config.solo
+        return _Mode(solo.mean_photon_number, config.memory.eta0_internal,
+                     solo.input_pulse_fwhm_s, config.timing.clock_period_s, 0.0)
+    if mode == "source":
+        src = config.source
+        return _Mode(src.heralding_eta, config.memory.eta0_source,
+                     src.input_pulse_fwhm_s, 0.0, src.telecom_rate_hz)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def detected_signal_probability(config: NodeConfig, mode: str,
                                 extra_storage_s: float = 0.0) -> float:
     """Full-pulse detection probability per trial for the memory condition."""
     _check_delay(extra_storage_s)
-    mem = config.memory
-    if mode == "solo":
-        amp = config.solo.mean_photon_number
-        eta = mem.eta0_internal
-    elif mode == "source":
-        amp = config.source.heralding_eta
-        eta = mem.eta0_source
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    eta *= math.exp(-extra_storage_s / mem.tau_coherence_s)
-    return _link_budget(config, amp, eta)
+    m = _mode(config, mode)
+    eta = m.eta0 * math.exp(-extra_storage_s / config.memory.tau_coherence_s)
+    return _link_budget(config, m.amp, eta)
 
 
 def passthrough_probability(config: NodeConfig, mode: str) -> float:
     """Detection probability per trial for the input condition (vapor
     removed, control and OP blocked)."""
-    amp = (
-        config.solo.mean_photon_number
-        if mode == "solo"
-        else config.source.heralding_eta
-    )
-    return _link_budget(config, amp, 1.0)
+    return _link_budget(config, _mode(config, mode).amp, 1.0)
 
 
 def noise_rate_hz(config: NodeConfig) -> float:
@@ -268,6 +278,7 @@ def build_spec(
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}")
     _check_delay(extra_storage_s)
+    m = _mode(config, mode)
     t = config.timing
     mem = config.memory
     retrieve_at = t.retrieve_at_s + extra_storage_s
@@ -282,23 +293,13 @@ def build_spec(
         lam = mem.noise_per_trial
     elif condition == "input":
         p = passthrough_probability(config, mode)
-        fwhm = (
-            config.solo.input_pulse_fwhm_s
-            if mode == "solo"
-            else config.source.input_pulse_fwhm_s
-        )
-        sigmas, fractions = (fwhm * FWHM_TO_SIGMA,), (1.0,)
+        sigmas, fractions = (m.input_fwhm_s * FWHM_TO_SIGMA,), (1.0,)
         center = 0.0
         lam = 0.0
     else:  # no_input
         p = 0.0
         center = retrieve_at
         lam = mem.noise_per_trial
-
-    if mode == "solo":
-        period, rate = t.clock_period_s, 0.0
-    else:
-        period, rate = 0.0, config.source.telecom_rate_hz
 
     return RunSpec(
         p_signal=p,
@@ -313,8 +314,8 @@ def build_spec(
         frame_end_s=max(frame_end, noise_end + 10e-9),
         tag_resolution_s=t.tag_resolution_s,
         bin_width_s=t.bin_width_s,
-        trial_period_s=period,
-        trigger_rate_hz=rate,
+        trial_period_s=m.period_s,
+        trigger_rate_hz=m.rate_hz,
     )
 
 

@@ -178,15 +178,6 @@ def snr_from_werner_a(a: float) -> float:
     return 2.0 * a / (1.0 - a)
 
 
-def werner_a_from_snr(snr: float) -> float:
-    """a = SNR / (SNR + 2)."""
-    if snr < 0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
-    if math.isinf(snr):
-        return 1.0
-    return snr / (snr + 2.0)
-
-
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     """3x3 matrix T_ij = Tr(rho sigma_i (x) sigma_j)."""
     rho = np.asarray(rho)

@@ -278,34 +278,29 @@ def test_window_sweep_monotone():
         noise_window_start_s=250e-9,
         noise_window_s=100e-9,
         window_sizes_s=[w * 1e-9 for w in (2, 4, 8, 16, 24)],
-        corrections={"qst": 0.9, "detector": 0.65, "vv_fraction": 0.5},
+        correction=0.9 * 0.65 * 0.5,
         trial_rate_hz=2.1e5,
     )
     assert (np.diff(res.rates_pairs_per_s) > 0).all()
     assert (np.diff(res.fidelities) < 0).all()
     assert (np.diff(res.per_trial_success) > 0).all()
-    # rate identity: per-trial counts scaled by trigger rate over corrections
+    # rate identity: per-trial counts scaled by trigger rate over correction
     expected = res.per_trial_success * 2.1e5 / (0.9 * 0.65 * 0.5)
     assert np.allclose(res.rates_pairs_per_s, expected, rtol=1e-12)
+    assert not res.lower_bound
 
 
 def test_window_sweep_rejects_bad_corrections():
     h = _gaussian_hist()
-    with pytest.raises(ValueError):
-        analysis.window_sweep(h, 250e-9, 100e-9, [4e-9],
-                              {"qst": 0.9, "detector": 0.65}, 2.1e5)
-    with pytest.raises(ValueError):
-        analysis.window_sweep(
-            h, 250e-9, 100e-9, [4e-9],
-            {"qst": 0.9, "detector": 0.65, "vv_fraction": 1.5}, 2.1e5,
-        )
+    for correction in (1.5, 0.0):
+        with pytest.raises(ValueError, match="correction"):
+            analysis.window_sweep(h, 250e-9, 100e-9, [4e-9], correction, 2.1e5)
 
 
 def test_window_sweep_csv(tmp_path):
     h = _gaussian_hist()
     res = analysis.window_sweep(
-        h, 250e-9, 100e-9, [4e-9, 8e-9],
-        {"qst": 0.9, "detector": 0.65, "vv_fraction": 0.5}, 2.1e5,
+        h, 250e-9, 100e-9, [4e-9, 8e-9], 0.9 * 0.65 * 0.5, 2.1e5,
     )
     path = tmp_path / "sweep.csv"
     res.to_csv(path)

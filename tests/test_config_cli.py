@@ -80,6 +80,7 @@ _UNKNOWN_KEYS = {
     "timing.write_fall_ns": 0.3,
     "analysis.measured_filter_bandwidth_mhz_2pi": 182.0,
     "source.telecom_cavity.center_detuning_ghz": 1.1,
+    "detectors.nir.jitter_convention": "fwhm",
 }
 
 
@@ -299,10 +300,12 @@ def test_cli_config_errors(tmp_path, raw, capsys):
 
 
 def test_cli_tiny_trial_counts(tmp_path, capsys):
-    # one trial: the window sweep still runs; efficiency is undefined
-    # because the input histogram stays empty
+    # one trial: the window sweep still runs, and its empty noise window
+    # makes the SNR a lower bound; efficiency is undefined because the
+    # input histogram stays empty
     assert cli.main(["sweep-window", "--trials", "1",
-                     "--out", str(tmp_path / "sweep")]) == 0
+                     "--out", str(tmp_path / "sweep")]) == 4
+    assert "empty noise window" in capsys.readouterr().err
     for cmd in ("solo", "source"):
         capsys.readouterr()
         rc = cli.main([cmd, "--trials", "1", "--out", str(tmp_path / cmd)])
@@ -485,6 +488,24 @@ def test_cli_utility_without_background(tmp_path, raw, capsys):
         assert fields[1] == "1.000000"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["warnings"]
+
+
+def test_cli_sweep_window_empty_noise_window_warns(tmp_path, raw, capsys):
+    # every window shares the noise window: without background the SNRs
+    # and fidelities are lower bounds, as for solo and source
+    data = copy.deepcopy(raw)
+    data["memory"]["noise_per_trial"] = 0.0
+    out = tmp_path / "quiet"
+    rc = cli.main(["sweep-window", "--trials", "50000",
+                   "--config", _write(tmp_path, data), "--out", str(out)])
+    assert rc == 4
+    assert "empty noise window" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["warnings"] == ["empty noise window: SNR is a lower bound"]
+    header = (out / "sweep.csv").read_text().splitlines()[0]
+    assert header == "window_ns,rate_pairs_per_s,fidelity,per_trial"
+    assert set(json.loads((out / "sweep.json").read_text())) == {
+        "window_ns", "rate_pairs_per_s", "fidelity", "per_trial"}
 
 
 def test_cli_spectral_scan(tmp_path):

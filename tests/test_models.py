@@ -72,12 +72,9 @@ def test_end_to_end_probability(cfg):
 
 
 def test_detector_jitter_conventions():
-    fwhm = models.DetectorParams(0.65, 350e-12, "fwhm")
-    sig = models.DetectorParams(0.65, 350e-12, "sigma")
+    # the quoted jitter is a FWHM
+    fwhm = models.DetectorParams(0.65, 350e-12)
     assert fwhm.jitter_sigma_s == pytest.approx(350e-12 / 2.3548, rel=1e-4)
-    assert sig.jitter_sigma_s == 350e-12
-    with pytest.raises(ValueError):
-        models.DetectorParams(0.65, 350e-12, "hwhm")
     with pytest.raises(ValueError):
         models.DetectorParams(1.2, 350e-12)
 

@@ -315,6 +315,17 @@ def test_invalid_condition_rejected(cfg):
         )
 
 
+def test_unknown_mode_rejected(cfg):
+    # "Solo" is neither mode, for every condition and the pass-through
+    for condition in simulate.CONDITIONS:
+        with pytest.raises(ValueError, match="unknown mode"):
+            simulate.build_spec(cfg, "Solo", condition)
+    with pytest.raises(ValueError, match="unknown mode"):
+        simulate.passthrough_probability(cfg, "Solo")
+    with pytest.raises(ValueError, match="unknown mode"):
+        experiments.run_conditions(cfg, "Solo", 1000)
+
+
 _ENTRY_POINTS = {
     "detected_signal_probability":
         lambda cfg, t: simulate.detected_signal_probability(cfg, "source", t),
