@@ -24,6 +24,8 @@ _HERALD_BAND_HZ = 8e9
 _HERALD_GRID = 4001
 _PASSES = 2
 _SCAN_POINTS = 701  # operating-point candidates
+# candidates integrated per pass: 4 x 4001 doubles is 128 KB per temporary
+_HERALD_CHUNK = 4
 
 
 def _as_tuples(obj, *names):
@@ -130,26 +132,49 @@ def _herald_grid(model: JointSpectralModel):
     return nu, s, float(np.trapezoid(s, nu)), surv
 
 
+def _herald(model: JointSpectralModel, cavity: CavitySpec, detunings):
+    """(eta, rate, feasible) arrays for a 1-D array of cavity detunings.
+
+    rate = integral of T_cav(nu - d_c)^passes s_tel(nu) over the heralding
+    band; the efficiency weights the same integrand with the survival of the
+    paired NIR photon.  A detuning is feasible where its rate is above the
+    numeric floor; elsewhere eta is nan.  The detunings are integrated
+    _HERALD_CHUNK rows at a time, which keeps each temporary small enough
+    for the cache and the peak memory flat in the number of candidates,
+    with every row's arithmetic that of a single detuning.
+    """
+    nu, s, s_total, surv = _herald_grid(model)
+    d = np.asarray(detunings, dtype=float)
+    rate, weighted = np.empty(d.size), np.empty(d.size)
+    for i in range(0, d.size, _HERALD_CHUNK):
+        rows = slice(i, i + _HERALD_CHUNK)
+        ts = cavity_transmission(cavity, nu - d[rows, None]) ** _PASSES * s
+        rate[rows] = np.trapezoid(ts, nu, axis=-1)
+        weighted[rows] = np.trapezoid(ts * surv, nu, axis=-1)
+    # a nan rate is not below the floor: it passes on to be reported as a
+    # non-finite output
+    feasible = ~(rate <= 1e-30 * s_total)
+    eta = np.divide(weighted, rate, out=np.full(d.size, np.nan), where=feasible)
+    return np.clip(eta, 0.0, 1.0), rate, feasible
+
+
 def heralding_vs_cavity_detuning(
     model: JointSpectralModel,
     cavity: CavitySpec,
     cavity_detuning_hz: float,
 ):
-    """(heralding efficiency, relative rate) for one cavity position.
-
-    rate = integral of T_cav(nu - d_c)^passes s_tel(nu) over the heralding
-    band; the efficiency weights the same integrand with the survival of the
-    paired NIR photon.  Only the cavity factor is computed per call; the
-    rest is built once per model.
+    """(heralding efficiency, relative rate) for one cavity position: the
+    one-row case of the chunked integrals in _herald.  Only the cavity
+    factor is computed per call; the rest is built once per model.  Raises
+    ValueError where the rate is below the numeric floor.
     """
-    nu, s, s_total, surv = _herald_grid(model)
-    t = cavity_transmission(cavity, nu - cavity_detuning_hz) ** _PASSES
-    ts = t * s
-    rate = float(np.trapezoid(ts, nu))
-    if rate <= 1e-30 * s_total:
-        raise ValueError("rate below numeric floor; heralding efficiency undefined")
-    eta = float(np.trapezoid(ts * surv, nu)) / rate
-    return min(max(eta, 0.0), 1.0), rate
+    eta, rate, feasible = _herald(model, cavity, [cavity_detuning_hz])
+    if not feasible[0]:
+        raise ValueError(
+            f"rate below numeric floor at cavity detuning "
+            f"{cavity_detuning_hz / 1e9:g} GHz (cavity FWHM "
+            f"{cavity.fwhm_hz / 1e6:g} MHz); heralding efficiency undefined")
+    return float(eta[0]), float(rate[0])
 
 
 @dataclass(frozen=True)
@@ -174,15 +199,19 @@ class MemoryAcceptanceModel:
         Two damped resonances a1/(d-c1) - a2/(d-c2) with the pole damping
         kept only in the denominator; opposite-sign amplitudes interfere
         destructively between the lines, giving an exact dark point at
-        d0 = (a1 c2 - a2 c1) / (a1 - a2).
+        d0 = (a1 c2 - a2 c1) / (a1 - a2).  The squares are written as
+        products, which numpy rounds alike for scalars and arrays, so a
+        scalar detuning gives the same bits as the same entry of an array.
         """
         d = np.asarray(detuning_hz, dtype=float)
         g = self.linewidth_hz / 2.0
         c1, c2 = self.hyperfine_centers_hz
         a1, a2 = self.amplitudes
         with np.errstate(over="ignore", invalid="ignore"):
-            num = np.abs(a1 * (d - c2) - a2 * (d - c1)) ** 2
-            den = (np.abs(d - c1 + 1j * g) ** 2) * (np.abs(d - c2 + 1j * g) ** 2)
+            x1, x2 = d - c1, d - c2
+            u = a1 * x2 - a2 * x1
+            num = u.real * u.real + u.imag * u.imag
+            den = (x1 * x1 + g * g) * (x2 * x2 + g * g)
             # the response falls as 1/d^2: where den overflows it is 0, not
             # inf/inf
             return np.where(np.isinf(den), 0.0, num / den)
@@ -214,16 +243,20 @@ def select_operating_point(
     scan_band_hz: float = 7e9,
 ) -> float:
     """Cavity detuning maximizing operating_point_score over the scanned
-    band.  Ties break toward smaller |detuning|."""
+    band.  Ties break toward smaller |detuning|; candidates whose rate is
+    below the numeric floor are skipped.  All candidates are scored in one
+    call of _herald, which integrates them in fixed chunks of rows sized
+    for the cache and for a flat peak memory, and one acceptance call."""
     candidates = np.linspace(-scan_band_hz / 2.0, scan_band_hz / 2.0, _SCAN_POINTS)
+    eta, rate, feasible = _herald(model, cavity, candidates)
+    mem = memory_efficiency_vs_detuning(
+        memory_model, model.paired_nir_detuning(candidates)
+    )
+    scores = eta * rate * mem
     best = None
-    for dc in sorted(candidates, key=abs):
-        try:
-            score = operating_point_score(model, cavity, memory_model, dc)
-        except ValueError:
-            continue
-        if best is None or score > best[0] * (1.0 + 1e-12):
-            best = (score, dc)
+    for i in sorted(np.flatnonzero(feasible), key=lambda i: abs(candidates[i])):
+        if best is None or scores[i] > best[0] * (1.0 + 1e-12):
+            best = (scores[i], candidates[i])
     if best is None:
         raise ValueError("no feasible operating point in the scanned band")
     return best[1]

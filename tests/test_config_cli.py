@@ -201,6 +201,25 @@ def test_bad_numbers_and_list_entries_rejected(tmp_path, raw, capsys, key,
     assert not list((tmp_path / "out").glob("*.csv"))  # not even a partial one
 
 
+def test_narrow_cavity_error_names_detuning_and_fwhm(tmp_path, raw):
+    # a 1 Hz telecom cavity passes nothing between the heralding grid points
+    data = copy.deepcopy(raw)
+    _set(data, "source.telecom_cavity.fwhm_mhz", 1e-9)
+    out = tmp_path / "out"
+    src = Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run(
+        [sys.executable, "-m", "vapornode.cli", "spectral-scan", "--band-ghz",
+         "2.9", "--points", "5", "--config", _write(tmp_path, data), "--out",
+         str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert res.returncode == 3
+    assert res.stderr.splitlines()[0] == (
+        "runtime error: rate below numeric floor at cavity detuning -0.725 GHz"
+        " (cavity FWHM 1e-09 MHz); heralding efficiency undefined")
+    assert not list(out.glob("*.csv"))
+
+
 def test_error_line_before_numpy_warnings(tmp_path, raw):
     # outside pytest numpy's RuntimeWarnings reach stderr; they come after
     # the error line

@@ -272,3 +272,74 @@ def test_operating_point_values_pinned(cfg, band_hz, expected):
         scan_band_hz=band_hz,
     )
     assert best == expected
+
+
+def _select_reference(model, cavity, memory_model, scan_band_hz):
+    """The selection as a per-candidate loop over operating_point_score:
+    |d|-ordered, candidates below the numeric floor skipped."""
+    candidates = np.linspace(-scan_band_hz / 2.0, scan_band_hz / 2.0, 701)
+    best = None
+    for dc in sorted(candidates, key=abs):
+        try:
+            score = spectra.operating_point_score(model, cavity, memory_model,
+                                                  dc)
+        except ValueError:
+            continue
+        if best is None or score > best[0] * (1.0 + 1e-12):
+            best = (score, dc)
+    if best is None:
+        raise ValueError("no feasible operating point in the scanned band")
+    return best[1]
+
+
+def test_memory_efficiency_scalar_matches_array(cfg):
+    model, mem = cfg.spectral_model, cfg.memory_acceptance
+    arr = model.paired_nir_detuning(np.linspace(-3.5e9, 3.5e9, 701))
+    batch = spectra.memory_efficiency_vs_detuning(mem, arr)
+    for i, d in enumerate(arr):
+        assert batch[i] == spectra.memory_efficiency_vs_detuning(mem, d)
+
+
+@pytest.mark.parametrize("band_hz", [3e9, 7e9, 12e9])
+def test_batched_scores_match_per_candidate_reference(cfg, band_hz):
+    model, cav, mem = (cfg.spectral_model, cfg.source.telecom_cavity,
+                       cfg.memory_acceptance)
+    candidates = np.linspace(-band_hz / 2.0, band_hz / 2.0, 701)
+    eta, rate, feasible = spectra._herald(model, cav, candidates)
+    assert feasible.all()
+    for i, dc in enumerate(candidates):
+        assert (eta[i], rate[i]) == _heralding_reference(model, cav, dc)
+    assert spectra.select_operating_point(model, cav, mem, band_hz) == (
+        _select_reference(model, cav, mem, band_hz))
+
+
+def test_selection_skips_candidates_below_floor(cfg):
+    # a 1 kHz cavity passes almost nothing between the telecom grid points
+    model, mem = cfg.spectral_model, cfg.memory_acceptance
+    cav = CavitySpec(1e-3, 15.2e9)
+    _, _, feasible = spectra._herald(model, cav,
+                                     np.linspace(-1.5e9, 1.5e9, 701))
+    assert (~feasible).sum() == 600
+    best = spectra.select_operating_point(model, cav, mem, scan_band_hz=3e9)
+    assert best == 930000000.0 == _select_reference(model, cav, mem, 3e9)
+
+
+def test_selection_raises_with_no_feasible_candidate(cfg):
+    # a 1 micro-Hz cavity off every grid point, and a notch at the one
+    # candidate that sits on the grid
+    notch = spectra.AbsorptionFeature(0.0, 1e6, 1.0)
+    model = dataclasses.replace(cfg.spectral_model, features=(notch,))
+    cav, mem = CavitySpec(1e-6, 15.2e9), cfg.memory_acceptance
+    for select in (spectra.select_operating_point, _select_reference):
+        with pytest.raises(ValueError, match="no feasible operating point"):
+            select(model, cav, mem, 3.0001e9)
+
+
+
+def test_selection_ties_break_toward_zero(cfg):
+    # an open cavity and acceptance lines 1e23 Hz away: every score agrees
+    # to about 1e-13, inside the 1e-12 tie tolerance, so the candidate
+    # nearest zero wins
+    cav = CavitySpec(1e30, 1e31)
+    flat = spectra.MemoryAcceptanceModel((-1e23, 3e23), (1.0, -1.0), 5e23)
+    assert spectra.select_operating_point(cfg.spectral_model, cav, flat) == 0.0
