@@ -92,14 +92,14 @@ def internal_storage_efficiency(
     hist_memory: Histogram,
     hist_input: Histogram,
     window: WindowSpec,
-    noise_region_s: tuple | None = None,
+    noise_region_s: tuple,
 ) -> float:
     """Retrieved photons (noise-subtracted, full retrieval window) over
     input photons, both per trial; both traverse the same optical chain.
 
-    noise_region_s optionally bounds the span where the flat background
-    exists (the control-on interval); the subtraction then covers only the
-    overlap with the signal window instead of its full width.
+    noise_region_s bounds the span where the flat background exists (the
+    control-on interval); the subtraction covers only its overlap with the
+    signal window.
     """
     if hist_memory.n_trials < 1 or hist_input.n_trials < 1:
         raise ValueError("histograms must carry their trial counts")
@@ -111,14 +111,11 @@ def internal_storage_efficiency(
     )
     noise_rate = noise_counts / window.noise_width_s
     raw = window_counts(hist_memory, window.signal_start_s, window.signal_width_s)
-    if noise_region_s is None:
-        overlap = window.signal_width_s
-    else:
-        overlap = max(
-            0.0,
-            min(window.signal_start_s + window.signal_width_s, noise_region_s[1])
-            - max(window.signal_start_s, noise_region_s[0]),
-        )
+    overlap = max(
+        0.0,
+        min(window.signal_start_s + window.signal_width_s, noise_region_s[1])
+        - max(window.signal_start_s, noise_region_s[0]),
+    )
     retrieved_per_trial = (raw - noise_rate * overlap) / hist_memory.n_trials
     input_per_trial = input_counts / hist_input.n_trials
     return retrieved_per_trial / input_per_trial

@@ -182,18 +182,15 @@ def _cmd_spectral_scan(args, config: NodeConfig) -> int:
     detunings = np.linspace(-args.band_ghz / 2.0, args.band_ghz / 2.0,
                             args.points) * 1e9
     run = _Run(config, args)
-
-    def row(d):
-        eta, rate = spectra.heralding_vs_cavity_detuning(model, cavity, d)
-        mem = spectra.memory_efficiency_vs_detuning(
-            mem_model, model.paired_nir_detuning(d)
-        )
-        return d / 1e9, eta, rate, float(mem)
-
+    eta, rate = spectra.heralding_vs_cavity_detuning(model, cavity, detunings)
+    mem = spectra.memory_efficiency_vs_detuning(
+        mem_model, model.paired_nir_detuning(detunings)
+    )
     write_csv(run.path("spectral.csv"),
               "cavity_detuning_ghz,heralding_eta,relative_rate,"
               "memory_acceptance", (".4f", ".6f", ".6g", ".6f"),
-              map(row, detunings))
+              zip((detunings / 1e9).tolist(), eta.tolist(), rate.tolist(),
+                  mem.tolist()))
     best = spectra.select_operating_point(model, cavity, mem_model,
                                           scan_band_hz=args.band_ghz * 1e9)
     eta, rate = spectra.heralding_vs_cavity_detuning(model, cavity, best)
@@ -212,8 +209,9 @@ def _cmd_filter_design(args, config: NodeConfig) -> int:
                             args.points) * 1e9
     write_csv(run.path("filter.csv"),
               "detuning_ghz,suppression_db,transmission", (".4f", ".4f", ".6g"),
-              ((d / 1e9, optics.cascade_suppression_db(cascade, d),
-                optics.cascade_transmission(cascade, d)) for d in detunings))
+              zip((detunings / 1e9).tolist(),
+                  optics.cascade_suppression_db(cascade, detunings).tolist(),
+                  optics.cascade_transmission(cascade, detunings).tolist()))
     run.write_json("filter.json", {
         "query_detuning_ghz": args.query_ghz,
         "suppression_db_at_query": optics.cascade_suppression_db(

@@ -67,10 +67,10 @@ def cavity_transmission(cavity: CavitySpec, detuning_hz: float):
 
 def cascade_transmission(cascade: FilterCascade, detuning_hz: float):
     """Intensity transmission through every pass of every stage."""
-    t = np.asarray(detuning_hz, dtype=float) * 0.0 + cascade.broadband_transmission
+    t = cascade.broadband_transmission
     for cavity, passes in cascade.stages:
         t = t * cavity_transmission(cavity, detuning_hz) ** passes
-    return t if t.ndim else float(t)
+    return t
 
 
 def cascade_suppression_db(cascade: FilterCascade, detuning_hz: float):
@@ -84,24 +84,18 @@ def cascade_suppression_db(cascade: FilterCascade, detuning_hz: float):
 
 
 def cascade_effective_fwhm(cascade: FilterCascade) -> float:
-    """FWHM of the product response, found by bisecting for the
-    half-transmission point.  For N identical co-centered Lorentzian passes
-    this equals fwhm * sqrt(2^(1/N) - 1)."""
-
-    def resp(d):
-        t = 1.0
-        for cavity, passes in cascade.stages:
-            t *= cavity_transmission(cavity, d) ** passes
-        return t
-
+    """FWHM of cascade_transmission, found by bisecting for the point where
+    it falls to half its peak, the broadband transmission.  For N identical
+    co-centered Lorentzian passes this equals fwhm * sqrt(2^(1/N) - 1)."""
     # every stage falls monotonically below 1/2 on [0, its fsr/2] (fwhm < fsr);
     # past the smallest fsr/2 lie the next orders of the periodized response
     lo, hi = 0.0, 0.5 * min(c.fsr_hz for c, _ in cascade.stages)
+    half = 0.5 * cascade.broadband_transmission
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # converged: no later step changes lo or hi
             break
-        if resp(mid) > 0.5:
+        if cascade_transmission(cascade, mid) > half:
             lo = mid
         else:
             hi = mid

@@ -19,6 +19,7 @@ only, so the cost scales with the detections kept, not with the trials.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,7 +150,10 @@ def run_condition(
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     jobs = [(spec, seed, condition_id, b, n) for b, n in _blocks(n_trials)]
-    if workers <= 1 or len(jobs) == 1:
+    # a forked pool starts all its processes at the first submit: never more
+    # than there are blocks to run or CPUs to run them
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         results = [_block_worker(j) for j in jobs]
     else:
         # imported here: the module costs every fresh process ~25 ms

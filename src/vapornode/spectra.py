@@ -161,20 +161,24 @@ def _herald(model: JointSpectralModel, cavity: CavitySpec, detunings):
 def heralding_vs_cavity_detuning(
     model: JointSpectralModel,
     cavity: CavitySpec,
-    cavity_detuning_hz: float,
+    cavity_detuning_hz,
 ):
-    """(heralding efficiency, relative rate) for one cavity position: the
-    one-row case of the chunked integrals in _herald.  Only the cavity
-    factor is computed per call; the rest is built once per model.  Raises
-    ValueError where the rate is below the numeric floor.
+    """(heralding efficiency, relative rate) for a scalar or a 1-D array of
+    cavity positions: floats for a scalar, arrays for an array, all from
+    one call of the chunked integrals in _herald, so a scalar is the
+    one-row case of an array.  Only the cavity factor is computed per call;
+    the rest is built once per model.  Raises ValueError naming the first
+    detuning, in input order, whose rate is below the numeric floor.
     """
-    eta, rate, feasible = _herald(model, cavity, [cavity_detuning_hz])
-    if not feasible[0]:
+    d = np.asarray(cavity_detuning_hz, dtype=float)
+    eta, rate, feasible = _herald(model, cavity, d.reshape(-1))
+    if not feasible.all():
+        bad = d.reshape(-1)[np.argmin(feasible)]
         raise ValueError(
             f"rate below numeric floor at cavity detuning "
-            f"{cavity_detuning_hz / 1e9:g} GHz (cavity FWHM "
+            f"{bad / 1e9:g} GHz (cavity FWHM "
             f"{cavity.fwhm_hz / 1e6:g} MHz); heralding efficiency undefined")
-    return float(eta[0]), float(rate[0])
+    return (eta, rate) if d.ndim else (float(eta[0]), float(rate[0]))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,10 @@ def _hist(counts, bin_ns=1.0, origin_ns=0.0, n_trials=1000):
                      0.0, n_trials)
 
 
+# the whole 100 ns frame: a background region that covers every window
+_FRAME = (0.0, 100e-9)
+
+
 def _peaked(signal=400, floor=2, n_bins=100, peak_bin=20):
     counts = np.full(n_bins, floor)
     counts[peak_bin] += signal
@@ -104,23 +108,23 @@ def test_extract_snr_empty_noise_window_flags_lower_bound():
 def test_storage_efficiency_identical_histograms():
     h = _peaked(signal=500, floor=0)
     spec = analysis.WindowSpec(15e-9, 11e-9, 60e-9, 30e-9)
-    assert analysis.internal_storage_efficiency(h, h, spec) == pytest.approx(1.0)
+    assert analysis.internal_storage_efficiency(h, h, spec, _FRAME) == (
+        pytest.approx(1.0))
 
 
 def test_storage_efficiency_ratio_and_transmissions():
     mem = _peaked(signal=120, floor=0, peak_bin=20)
     inp = _peaked(signal=400, floor=0, peak_bin=5)
     spec = analysis.WindowSpec(15e-9, 11e-9, 60e-9, 30e-9)
-    assert analysis.internal_storage_efficiency(mem, inp, spec) == pytest.approx(
-        0.30
-    )
+    assert analysis.internal_storage_efficiency(mem, inp, spec, _FRAME) == (
+        pytest.approx(0.30))
     # both per trial: halving the input flux, or the memory run's trial
     # count, doubles the ratio
     half = _peaked(signal=200, floor=0, peak_bin=5)
-    assert analysis.internal_storage_efficiency(mem, half, spec) == (
+    assert analysis.internal_storage_efficiency(mem, half, spec, _FRAME) == (
         pytest.approx(0.60))
     fewer = Histogram(mem.bin_width_s, mem.counts, mem.origin_s, 0.0, 500)
-    assert analysis.internal_storage_efficiency(fewer, inp, spec) == (
+    assert analysis.internal_storage_efficiency(fewer, inp, spec, _FRAME) == (
         pytest.approx(0.60))
 
 
@@ -133,7 +137,7 @@ def test_storage_efficiency_noise_region_clipping():
     mem = _hist(counts)
     inp = _peaked(signal=1000, floor=0, peak_bin=5)
     spec = analysis.WindowSpec(10e-9, 30e-9, 60e-9, 30e-9)
-    naive = analysis.internal_storage_efficiency(mem, inp, spec)
+    naive = analysis.internal_storage_efficiency(mem, inp, spec, _FRAME)
     clipped = analysis.internal_storage_efficiency(
         mem, inp, spec, noise_region_s=(18e-9, 48e-9)
     )
@@ -146,9 +150,10 @@ def test_storage_efficiency_rejects_empty_input():
     empty = _hist(np.zeros(100, dtype=int))
     spec = analysis.WindowSpec(15e-9, 11e-9, 60e-9, 30e-9)
     with pytest.raises(ValueError):
-        analysis.internal_storage_efficiency(h, empty, spec)
+        analysis.internal_storage_efficiency(h, empty, spec, _FRAME)
     with pytest.raises(ValueError):
-        analysis.internal_storage_efficiency(h, _hist([1, 2], n_trials=0), spec)
+        analysis.internal_storage_efficiency(
+            h, _hist([1, 2], n_trials=0), spec, _FRAME)
 
 
 def test_mean_photon_number():

@@ -102,6 +102,23 @@ def test_cascade_effective_fwhm_closed_form():
     )
 
 
+def test_cascade_effective_fwhm_pinned():
+    # the packaged cascade: the bits filter-design writes to filter.json
+    assert optics.cascade_effective_fwhm(_cascade()) == 542415957.6038194
+
+
+# the filter-design grid (16 GHz, 321 points), and a grid past the 60.2 GHz
+# FSR, where fmod runs on the whole array but only on some of the scalars
+@pytest.mark.parametrize("band_hz", [16e9, 200e9])
+def test_cascade_array_matches_scalars(band_hz):
+    cascade = _cascade()
+    d = np.linspace(-band_hz / 2.0, band_hz / 2.0, 321)
+    assert optics.cascade_suppression_db(cascade, d).tolist() == [
+        optics.cascade_suppression_db(cascade, x) for x in d]
+    assert optics.cascade_transmission(cascade, d).tolist() == [
+        optics.cascade_transmission(cascade, x) for x in d]
+
+
 def test_cascade_fwhm_monotone_in_passes():
     widths = [
         optics.cascade_effective_fwhm(

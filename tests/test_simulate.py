@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import math
+import os
 import warnings
 
 import numpy as np
@@ -112,6 +114,35 @@ def test_determinism_across_workers(cfg):
     for h in hists[1:]:
         assert np.array_equal(h.counts, hists[0].counts)
         assert h.n_trials == hists[0].n_trials
+
+
+def test_pool_never_larger_than_block_count(cfg, monkeypatch):
+    # a fake pool that records its size and maps in-process: no process
+    # starts, whatever size is asked for
+    made = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    spec = simulate.build_spec(cfg, "solo", "memory")
+    n = 3 * simulate.BLOCK_SIZE
+    pooled = simulate.run_condition(spec, cfg.seed, 0, n, workers=10**6)
+    assert made == [3]
+    serial = simulate.run_condition(spec, cfg.seed, 0, n, workers=1)
+    assert np.array_equal(pooled.counts, serial.counts)
+    assert made == [3]  # one worker runs in-process
 
 
 def test_determinism_across_runs(cfg):

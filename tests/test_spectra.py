@@ -203,6 +203,19 @@ def test_heralding_matches_uncached_reference(cfg):
         for dc in (-2.3e9, 0.0, 0.92e9, 1.1e9):
             got = spectra.heralding_vs_cavity_detuning(model, cav, dc)
             assert got == _heralding_reference(model, cav, dc)
+            assert all(type(v) is float for v in got)
+
+
+def test_heralding_array_names_first_infeasible_detuning(cfg):
+    # a 1 kHz cavity: 0 and 1.1 GHz sit on telecom grid points, the other
+    # two pass almost nothing
+    cav = CavitySpec(1e-3, 15.2e9)
+    d = np.array([0.0, 0.7251e9, -0.3333e9, 1.1e9])
+    for order, name in ((d, "0.7251"), (d[::-1], "-0.3333")):
+        with pytest.raises(ValueError, match=(
+                f"rate below numeric floor at cavity detuning {name} GHz")):
+            spectra.heralding_vs_cavity_detuning(cfg.spectral_model, cav,
+                                                 order)
 
 
 def test_cached_grids_read_only(cfg):
@@ -305,8 +318,7 @@ def test_batched_scores_match_per_candidate_reference(cfg, band_hz):
     model, cav, mem = (cfg.spectral_model, cfg.source.telecom_cavity,
                        cfg.memory_acceptance)
     candidates = np.linspace(-band_hz / 2.0, band_hz / 2.0, 701)
-    eta, rate, feasible = spectra._herald(model, cav, candidates)
-    assert feasible.all()
+    eta, rate = spectra.heralding_vs_cavity_detuning(model, cav, candidates)
     for i, dc in enumerate(candidates):
         assert (eta[i], rate[i]) == _heralding_reference(model, cav, dc)
     assert spectra.select_operating_point(model, cav, mem, band_hz) == (
