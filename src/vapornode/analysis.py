@@ -14,30 +14,38 @@ from .states import fidelity_from_snr
 
 @dataclass(frozen=True)
 class WindowSpec:
+    """A signal window, or an array of them, and the noise window they
+    share."""
+
     signal_start_s: float
     signal_width_s: float
     noise_start_s: float
     noise_width_s: float
 
     def __post_init__(self):
-        if self.signal_width_s <= 0 or self.noise_width_s <= 0:
+        if np.any(self.signal_width_s <= 0) or self.noise_width_s <= 0:
             raise ValueError("window widths must be > 0")
         s0, s1 = self.signal_start_s, self.signal_start_s + self.signal_width_s
         n0, n1 = self.noise_start_s, self.noise_start_s + self.noise_width_s
-        if s0 < n1 and n0 < s1:
+        if np.any((s0 < n1) & (n0 < s1)):
             raise ValueError("signal and noise windows must be disjoint")
 
 
-def window_counts(hist: Histogram, start_s: float, width_s: float) -> float:
-    """Counts inside [start, start+width), with fractional weighting of the
-    bins straddling the edges."""
+def window_counts(hist: Histogram, start_s, width_s):
+    """Counts inside [start, start+width), for one window or an array of
+    windows: the difference of the cumulative count interpolated linearly
+    at the two edges, so a bin straddling an edge counts by the fraction of
+    it inside the window."""
+    edges = np.stack(np.broadcast_arrays(start_s, np.add(start_s, width_s)))
     lo, hi = hist.span_s
-    if start_s < lo - 1e-15 or start_s + width_s > hi + 1e-15:
+    if np.any(edges[0] < lo - 1e-15) or np.any(edges[1] > hi + 1e-15):
         raise ValueError("window extends outside the histogram span")
-    edges = hist.bin_edges_s
-    a = (np.clip(start_s + width_s, edges[:-1], edges[1:]) -
-         np.clip(start_s, edges[:-1], edges[1:]))
-    return float(np.sum(hist.counts * (a / hist.bin_width_s)))
+    counts = hist.counts
+    x = np.clip((edges - hist.origin_s) / hist.bin_width_s, 0.0, counts.size)
+    i = np.minimum(x.astype(np.int64), counts.size - 1)
+    below = np.concatenate(([0], np.cumsum(counts)))[i] + (x - i) * counts[i]
+    c = below[1] - below[0]
+    return c if c.ndim else float(c)
 
 
 def peak_time(hist: Histogram) -> float:
@@ -46,16 +54,19 @@ def peak_time(hist: Histogram) -> float:
     return hist.origin_s + (i + 0.5) * hist.bin_width_s
 
 
-def centered_window(hist: Histogram, width_s: float, noise_start_s: float,
+def centered_window(hist: Histogram, width_s, noise_start_s: float,
                     noise_width_s: float) -> WindowSpec:
-    """Signal window of the given width centered on the histogram peak bin.
+    """Signal window of the given width, or one per entry of an array of
+    widths, centered on the histogram peak bin.
 
     A peak near the edge of the histogram (a nearly empty histogram peaks
     anywhere) shifts the window just far enough to lie inside the span.
     """
     lo, hi = hist.span_s
-    start = min(max(peak_time(hist) - width_s / 2.0, lo), hi - width_s)
-    return WindowSpec(start, width_s, noise_start_s, noise_width_s)
+    start = np.minimum(np.maximum(peak_time(hist) - width_s / 2.0, lo),
+                       hi - width_s)
+    return WindowSpec(start if start.ndim else float(start), width_s,
+                      noise_start_s, noise_width_s)
 
 
 @dataclass
@@ -74,17 +85,17 @@ def extract_snr(hist: Histogram, window: WindowSpec) -> SnrResult:
     signal window.  An empty noise window yields a lower bound (one
     count-equivalent noise floor) with a flag.
     """
-    noise_counts = window_counts(hist, window.noise_start_s, window.noise_width_s)
-    lower_bound = noise_counts == 0
+    noise_counts, raw = window_counts(
+        hist, (window.noise_start_s, window.signal_start_s),
+        (window.noise_width_s, window.signal_width_s)).tolist()
     noise_rate = max(noise_counts, 1.0) / window.noise_width_s
-    raw = window_counts(hist, window.signal_start_s, window.signal_width_s)
     expected_noise = noise_rate * window.signal_width_s
     signal = raw - expected_noise
     return SnrResult(
         snr=signal / expected_noise,
         signal_counts=signal,
         noise_rate_per_s=noise_rate,
-        lower_bound=lower_bound,
+        lower_bound=noise_counts == 0,
     )
 
 
@@ -106,11 +117,10 @@ def internal_storage_efficiency(
     input_counts = float(hist_input.counts.sum())
     if input_counts <= 0:
         raise ValueError("input histogram has no counts")
-    noise_counts = window_counts(
-        hist_memory, window.noise_start_s, window.noise_width_s
-    )
+    noise_counts, raw = window_counts(
+        hist_memory, (window.noise_start_s, window.signal_start_s),
+        (window.noise_width_s, window.signal_width_s)).tolist()
     noise_rate = noise_counts / window.noise_width_s
-    raw = window_counts(hist_memory, window.signal_start_s, window.signal_width_s)
     overlap = max(
         0.0,
         min(window.signal_start_s + window.signal_width_s, noise_region_s[1])
@@ -257,7 +267,8 @@ def window_sweep(
 ) -> SweepResult:
     """Rate and predicted fidelity vs detection-window size.
 
-    Each window is centered on the histogram peak.  The pair rate counts
+    Each window is centered on the histogram peak, and every window is
+    counted with the shared noise window in one pass.  The pair rate counts
     every detection in the window (the noise ones degrade fidelity, not the
     rate) divided by `correction`, the product of analyzer transmission,
     detector efficiency and the detected (non-|VV>) fraction; the fidelity
@@ -268,45 +279,33 @@ def window_sweep(
     if hist_signal.n_trials < 1:
         raise ValueError("histogram must carry its trial count")
     windows = np.sort(np.asarray(list(window_sizes_s), dtype=float))
-    rates, fids, per_trial = [], [], []
-    lower_bound = False
-    for w in windows:
-        spec = centered_window(hist_signal, w, noise_window_start_s, noise_window_s)
-        res = extract_snr(hist_signal, spec)
-        lower_bound = res.lower_bound  # the same for every window
-        captured = window_counts(hist_signal, spec.signal_start_s, w)
-        pt = captured / hist_signal.n_trials
-        per_trial.append(pt)
-        rates.append(pt * trial_rate_hz / correction)
-        fids.append(fidelity_from_snr(max(res.snr, 0.0)))
+    spec = centered_window(hist_signal, windows, noise_window_start_s,
+                           noise_window_s)
+    counts = window_counts(
+        hist_signal, np.append(noise_window_start_s, spec.signal_start_s),
+        np.append(noise_window_s, windows))
+    noise, captured = counts[0], counts[1:]
+    expected_noise = max(noise, 1.0) / noise_window_s * windows
+    snr = (captured - expected_noise) / expected_noise
+    per_trial = captured / hist_signal.n_trials
     return SweepResult(
         window_sizes_s=windows,
-        rates_pairs_per_s=np.asarray(rates),
-        fidelities=np.asarray(fids),
-        per_trial_success=np.asarray(per_trial),
-        lower_bound=lower_bound,
+        rates_pairs_per_s=per_trial * trial_rate_hz / correction,
+        fidelities=fidelity_from_snr(np.maximum(snr, 0.0)),
+        per_trial_success=per_trial,
+        lower_bound=bool(noise == 0),
     )
 
 
 def _isotonic_non_increasing(y: np.ndarray) -> np.ndarray:
     """Pool-adjacent-violators fit of a non-increasing sequence."""
-    vals = list(y.astype(float))
-    wts = [1.0] * len(vals)
-    out_v, out_w = [], []
-    for v, w in zip(vals, wts):
-        out_v.append(v)
-        out_w.append(w)
-        while len(out_v) > 1 and out_v[-2] < out_v[-1]:
-            v2, w2 = out_v.pop(), out_w.pop()
-            v1, w1 = out_v.pop(), out_w.pop()
-            out_v.append((v1 * w1 + v2 * w2) / (w1 + w2))
-            out_w.append(w1 + w2)
-    fitted = np.empty(len(vals))
-    i = 0
-    for v, w in zip(out_v, out_w):
-        fitted[i : i + int(w)] = v
-        i += int(w)
-    return fitted
+    blocks = []  # (mean, length) of each pooled run
+    for v in y.astype(float).tolist():
+        blocks.append((v, 1))
+        while len(blocks) > 1 and blocks[-2][0] < blocks[-1][0]:
+            (v2, w2), (v1, w1) = blocks.pop(), blocks.pop()
+            blocks.append(((v1 * w1 + v2 * w2) / (w1 + w2), w1 + w2))
+    return np.repeat([v for v, _ in blocks], [w for _, w in blocks])
 
 
 @dataclass

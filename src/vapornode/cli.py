@@ -60,8 +60,7 @@ class _Run:
 
     def __init__(self, config: NodeConfig, args):
         self.config = config
-        self.out = Path(args.out)
-        self.out.mkdir(parents=True, exist_ok=True)
+        self.out = Path(args.out)  # made by the first file written
         self.command = args.argv
         self.start = _utc_now()
         self.outputs = []
@@ -74,6 +73,7 @@ class _Run:
 
     def write_json(self, name: str, payload: dict) -> None:
         _check_finite(name, payload)
+        self.out.mkdir(parents=True, exist_ok=True)
         with open(self.path(name), "w") as f:
             json.dump(payload, f, indent=2, sort_keys=True, allow_nan=False)
             f.write("\n")

@@ -216,10 +216,7 @@ def model_fidelity_curve(config: NodeConfig, times_s) -> np.ndarray:
     """
     snr0 = predicted_window_snr(config, "source")
     t = np.asarray(times_s, dtype=float)
-    return np.array([
-        fidelity_from_snr(snr0 * math.exp(-ti / config.memory.tau_coherence_s))
-        for ti in t
-    ])
+    return fidelity_from_snr(snr0 * np.exp(-t / config.memory.tau_coherence_s))
 
 
 def model_utility_time(config: NodeConfig,

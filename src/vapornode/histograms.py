@@ -14,8 +14,8 @@ import numpy as np
 def write_csv(path, header: str, specs: tuple, rows) -> None:
     """Write the header line, then each row with every value formatted by
     its column's format spec.  A non-finite number raises ValueError naming
-    the file and the column, before the file is created, so no table holds
-    nan or inf."""
+    the file and the column, before the file or its directory is created,
+    so no table holds nan or inf."""
     columns = header.split(",")
     lines = [header]
     for row in rows:
@@ -25,6 +25,7 @@ def write_csv(path, header: str, specs: tuple, rows) -> None:
                     f"{Path(path).name}: {column} is not finite ({value})"
                 )
         lines.append(",".join(map(format, row, specs)))
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 

@@ -76,8 +76,7 @@ def cascade_transmission(cascade: FilterCascade, detuning_hz: float):
 def cascade_suppression_db(cascade: FilterCascade, detuning_hz: float):
     """Total suppression in dB, summed over all passes (excludes the
     broadband loss, which is frequency independent)."""
-    d = np.asarray(detuning_hz, dtype=float)
-    db = d * 0.0
+    db = 0.0  # +0.0, never -0.0; a numpy value after the first stage
     for cavity, passes in cascade.stages:
         db = db - 10.0 * passes * np.log10(cavity_transmission(cavity, detuning_hz))
     return db if db.ndim else float(db)

@@ -155,11 +155,14 @@ def fidelity(rho: np.ndarray, rho0: np.ndarray) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def fidelity_from_snr(snr: float) -> float:
-    """Werner-model fidelity to |Phi+>: F = 1 - 3 / (2 (SNR + 2))."""
-    if snr < 0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
-    return 1.0 - 3.0 / (2.0 * (snr + 2.0))
+def fidelity_from_snr(snr):
+    """Werner-model fidelity to |Phi+>: F = 1 - 3 / (2 (SNR + 2)), for a
+    scalar or an array of SNRs."""
+    s = np.asarray(snr, dtype=float)
+    if (s < 0).any():
+        raise ValueError(f"snr must be >= 0, got {s.min()}")
+    f = 1.0 - 3.0 / (2.0 * (s + 2.0))
+    return f if f.ndim else float(f)
 
 
 def snr_from_fidelity(f: float) -> float:

@@ -8,7 +8,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from vapornode import analysis, experiments, optics, simulate, states, tomography
 from vapornode.config import load_config
@@ -221,37 +220,53 @@ _PAULI = (
 )
 
 
-def _correlation_matrix(rho):
-    t = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            t[i, j] = np.real(np.trace(rho @ np.kron(_PAULI[i], _PAULI[j])))
-    return t
+def _correlation_matrices(rhos):
+    """T_ij = Tr(rho sigma_i (x) sigma_j) for a stack of states."""
+    pairs = np.array([[np.kron(p, q) for q in _PAULI] for p in _PAULI])
+    return np.einsum("nab,ijba->nij", rhos, pairs).real
 
 
-def _chsh_brute_force(rho, rng):
-    """Direct maximization over analyzer directions b, b' (the a-side optimum
-    is analytic: align with T(b +/- b'))."""
-    t = _correlation_matrix(rho)
+def _chsh_value(t, b, bp):
+    """|T(b + b')| + |T(b - b')| and its gradients in b and b'; the a-side
+    optimum is analytic: align with T(b +/- b')."""
+    tt = t.transpose(0, 2, 1)
+    u, v = (b + bp) @ tt, (b - bp) @ tt
+    nu = np.linalg.norm(u, axis=-1, keepdims=True)
+    nv = np.linalg.norm(v, axis=-1, keepdims=True)
+    gu = u / np.maximum(nu, 1e-300) @ t
+    gv = v / np.maximum(nv, 1e-300) @ t
+    return (nu + nv)[..., 0], gu + gv, gu - gv
 
-    def unit(theta, phi):
-        return np.array(
-            [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
-             np.cos(theta)]
-        )
 
-    def value(angles):
-        b = unit(angles[0], angles[1])
-        bp = unit(angles[2], angles[3])
-        return np.linalg.norm(t @ (b + bp)) + np.linalg.norm(t @ (b - bp))
+def _chsh_brute_force(t, angles, keep=8, steps=100):
+    """Direct maximization over analyzer directions b, b' for a stack of
+    correlation matrices t, from random (theta, phi, theta', phi') starts.
 
-    cand = rng.uniform([0, 0, 0, 0], [np.pi, 2 * np.pi, np.pi, 2 * np.pi],
-                       size=(256, 4))
-    vals = np.array([value(a) for a in cand])
-    best = cand[int(np.argmax(vals))]
-    res = minimize(lambda a: -value(a), best, method="Nelder-Mead",
-                   options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 2000})
-    return max(float(vals.max()), -float(res.fun))
+    Every start is evaluated in one pass; the best `keep` per state are then
+    refined together by gradient ascent on the two unit spheres, halving a
+    candidate's step whenever it would lower the value."""
+    theta, phi = angles[..., 0::2], angles[..., 1::2]
+    unit = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                     np.cos(theta)], axis=-1)
+    b, bp = unit[..., 0, :], unit[..., 1, :]
+    best = np.argsort(_chsh_value(t, b, bp)[0], axis=1)[:, -keep:, None]
+    b = np.take_along_axis(b, best, axis=1)
+    bp = np.take_along_axis(bp, best, axis=1)
+    val, gb, gbp = _chsh_value(t, b, bp)
+    step = np.ones(val.shape + (1,))
+    for _ in range(steps):
+        # ascend along the gradients' components tangent to the spheres
+        nb = b + step * (gb - (gb * b).sum(-1, keepdims=True) * b)
+        nbp = bp + step * (gbp - (gbp * bp).sum(-1, keepdims=True) * bp)
+        nb /= np.linalg.norm(nb, axis=-1, keepdims=True)
+        nbp /= np.linalg.norm(nbp, axis=-1, keepdims=True)
+        nval, ngb, ngbp = _chsh_value(t, nb, nbp)
+        up = (nval > val)[..., None]
+        b, bp = np.where(up, nb, b), np.where(up, nbp, bp)
+        gb, gbp = np.where(up, ngb, gb), np.where(up, ngbp, gbp)
+        val = np.maximum(val, nval)
+        step = np.where(up, step, step / 2.0)
+    return val.max(axis=1)  # the best start is among those refined
 
 
 def test_criterion_11_states_engine(cfg):
@@ -267,14 +282,19 @@ def test_criterion_11_states_engine(cfg):
             worst_sym, abs(f - states.fidelity(states.bell_phi_plus(), rho))
         )
 
-    # closed-form CHSH maximum vs direct optimization
-    worst_gap = 0.0
+    # closed-form CHSH maximum vs direct optimization; each state is drawn
+    # before its 256 random starts
+    rhos, starts = [], []
     for _ in range(1_000):
-        rho = states.random_density_matrix(rng)
-        closed = states.chsh_max(rho)
-        brute = _chsh_brute_force(rho, rng)
-        assert brute <= closed + 1e-9  # the bound is never exceeded
-        worst_gap = max(worst_gap, closed - brute)
+        rhos.append(states.random_density_matrix(rng))
+        starts.append(rng.uniform([0, 0, 0, 0],
+                                  [np.pi, 2 * np.pi, np.pi, 2 * np.pi],
+                                  size=(256, 4)))
+    closed = np.array([states.chsh_max(rho) for rho in rhos])
+    brute = _chsh_brute_force(_correlation_matrices(np.array(rhos)),
+                              np.array(starts))
+    assert (brute <= closed + 1e-9).all()  # the bound is never exceeded
+    worst_gap = float((closed - brute).max())
 
     # bit-identical Monte Carlo output for any worker count
     base = simulate.run_solo(cfg, "memory", 200_000, workers=1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import curve_fit
 
-from vapornode import analysis
+from vapornode import analysis, states
 from vapornode.histograms import Histogram
 
 
@@ -42,6 +42,43 @@ def test_window_counts_fractional():
         analysis.window_counts(h, -1e-9, 1e-9)
     with pytest.raises(ValueError):
         analysis.window_counts(h, 2.5e-9, 1e-9)
+
+
+def test_window_counts_array_equals_scalar_calls():
+    rng = np.random.default_rng(7)
+    h = _hist(rng.integers(0, 1000, size=257), bin_ns=0.128, origin_ns=-3.0)
+    lo, hi = h.span_s
+    starts = rng.uniform(lo, hi - 5e-9, size=40)
+    widths = rng.uniform(1e-12, 5e-9, size=40)
+    many = analysis.window_counts(h, starts, widths)
+    assert many.shape == (40,)
+    assert many.tolist() == [analysis.window_counts(h, a, w)
+                             for a, w in zip(starts, widths)]
+    assert isinstance(analysis.window_counts(h, starts[0], widths[0]), float)
+    # one width broadcast over many starts
+    assert analysis.window_counts(h, starts, 1e-9).tolist() == [
+        analysis.window_counts(h, a, 1e-9) for a in starts]
+
+
+def test_window_counts_exact_on_representable_fractions():
+    # quarter-unit bins: every edge below is an exact binary fraction of a bin
+    h = Histogram(0.25, np.array([3, 7, 11, 13, 17]), 1.0, 0.0, 10)
+    assert analysis.window_counts(h, 1.0, 1.25) == 51.0
+    assert analysis.window_counts(h, 1.125, 0.25) == 1.5 + 3.5
+    assert analysis.window_counts(h, 1.3125, 0.5625) == 0.75 * 7 + 11 + 0.5 * 13
+    assert analysis.window_counts(h, [1.0, 1.5, 2.0], [0.25, 0.0625, 0.25]
+                                  ).tolist() == [3.0, 0.25 * 11, 17.0]
+
+
+def test_window_counts_outside_span_raises_for_any_entry():
+    h = _hist([10, 20, 30])
+    for start, width in ((-1e-9, 1e-9), (2.5e-9, 1e-9)):
+        with pytest.raises(ValueError, match="outside the histogram span"):
+            analysis.window_counts(h, start, width)
+        with pytest.raises(ValueError, match="outside the histogram span"):
+            analysis.window_counts(h, [0.0, start, 1e-9], [1e-9, width, 1e-9])
+        with pytest.raises(ValueError, match="outside the histogram span"):
+            analysis.window_counts(h, [0.0, 1e-9], [1e-9, width + 3e-9])
 
 
 def test_peak_and_centered_window():
@@ -300,6 +337,51 @@ def test_window_sweep_rejects_bad_corrections():
     for correction in (1.5, 0.0):
         with pytest.raises(ValueError, match="correction"):
             analysis.window_sweep(h, 250e-9, 100e-9, [4e-9], correction, 2.1e5)
+
+
+def _sweep_reference(h, noise_start_s, noise_width_s, windows_s, correction,
+                     trial_rate_hz):
+    """One window at a time: (rates, fidelities, per-trial captures)."""
+    rows = []
+    for w in sorted(windows_s):
+        spec = analysis.centered_window(h, w, noise_start_s, noise_width_s)
+        snr = analysis.extract_snr(h, spec).snr
+        pt = analysis.window_counts(h, spec.signal_start_s, w) / h.n_trials
+        rows.append((pt * trial_rate_hz / correction,
+                     states.fidelity_from_snr(max(snr, 0.0)), pt))
+    return np.array(rows).T
+
+
+@pytest.mark.parametrize("counts, noise", [
+    (_gaussian_hist().counts, (250e-9, 100e-9)),
+    # the peak in the first bin: every window is shifted inside the span
+    (_peaked(signal=900, floor=3, peak_bin=0).counts, (60e-9, 30e-9)),
+    # an empty noise window: the SNRs are lower bounds
+    (_peaked(signal=900, floor=0, peak_bin=30).counts, (60e-9, 30e-9)),
+], ids=["gaussian", "edge-peak", "empty-noise"])
+def test_window_sweep_matches_per_window_reference(counts, noise):
+    h = _hist(counts, n_trials=3_000_000)
+    windows = [w * 1e-9 for w in (16, 0.512, 2.816, 7.68, 1.0, 24, 4.096)]
+    res = analysis.window_sweep(h, *noise, windows, 0.29, 2.1e5)
+    want = _sweep_reference(h, *noise, windows, 0.29, 2.1e5)
+    assert res.window_sizes_s.tolist() == sorted(windows)
+    for got, ref in zip((res.rates_pairs_per_s, res.fidelities,
+                         res.per_trial_success), want):
+        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+    empty = analysis.window_counts(h, *noise) == 0
+    assert res.lower_bound is empty
+
+
+def test_window_sweep_rejects_bad_windows():
+    h = _gaussian_hist()  # peak at 100 ns
+    for windows in ([4e-9, 0.0], [-1e-9, 4e-9]):
+        with pytest.raises(ValueError, match="widths must be > 0"):
+            analysis.window_sweep(h, 250e-9, 100e-9, windows, 0.29, 2.1e5)
+    with pytest.raises(ValueError, match="widths must be > 0"):
+        analysis.window_sweep(h, 250e-9, 0.0, [4e-9], 0.29, 2.1e5)
+    # the 8 ns window reaches past the noise window's start at 103 ns
+    with pytest.raises(ValueError, match="disjoint"):
+        analysis.window_sweep(h, 103e-9, 100e-9, [2e-9, 8e-9], 0.29, 2.1e5)
 
 
 def test_window_sweep_csv(tmp_path):

@@ -217,7 +217,7 @@ def test_narrow_cavity_error_names_detuning_and_fwhm(tmp_path, raw):
     assert res.stderr.splitlines()[0] == (
         "runtime error: rate below numeric floor at cavity detuning -0.725 GHz"
         " (cavity FWHM 1e-09 MHz); heralding efficiency undefined")
-    assert not list(out.glob("*.csv"))
+    assert not out.exists()
 
 
 def test_error_line_before_numpy_warnings(tmp_path, raw):
@@ -225,17 +225,32 @@ def test_error_line_before_numpy_warnings(tmp_path, raw):
     # the error line
     data = copy.deepcopy(raw)
     _set(data, "spectra.doppler_fwhm_ghz", 1.0e-300)
+    out = tmp_path / "out"
     src = Path(__file__).resolve().parents[1] / "src"
     res = subprocess.run(
         [sys.executable, "-m", "vapornode.cli", "spectral-scan", "--points",
-         "3", "--config", _write(tmp_path, data), "--out",
-         str(tmp_path / "out")],
+         "3", "--config", _write(tmp_path, data), "--out", str(out)],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
         text=True)
     assert res.returncode == 3
     lines = res.stderr.splitlines()
     assert lines[0].startswith("runtime error: spectral.csv: heralding_eta")
     assert all(line.startswith("warning: ") for line in lines[1:])
+    assert not out.exists()
+
+
+def test_failed_run_leaves_existing_out_as_it_is(tmp_path, raw, capsys):
+    data = copy.deepcopy(raw)
+    _set(data, "spectra.doppler_fwhm_ghz", 1.0e-300)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept\n")
+    rc = cli.main(["spectral-scan", "--points", "3", "--config",
+                   _write(tmp_path, data), "--out", str(out)])
+    assert rc == 3
+    capsys.readouterr()
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    assert (out / "keep.txt").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -409,18 +424,22 @@ def test_cli_tomography_bad_settings(tmp_path, capsys):
         assert not out.exists()  # checked before any sampling or output
 
 
-@pytest.mark.parametrize("cmd", ["solo", "source"])
-def test_cli_non_finite_metrics_leave_no_files(tmp_path, raw, capsys, cmd):
+@pytest.mark.parametrize("cmd, error", [
+    ("solo", "metrics.json: snr is not finite"),
+    ("source", "metrics.json: snr is not finite"),
+    ("sweep-window", "sweep.csv: fidelity is not finite"),
+], ids=["solo", "source", "sweep-window"])
+def test_cli_non_finite_metrics_leave_no_files(tmp_path, raw, capsys, cmd,
+                                               error):
     # a vanishing noise window makes the SNR non-finite: the run stops
-    # before it writes the histograms, not after
+    # before it writes its first file, and so makes no output directory
     data = copy.deepcopy(raw)
     _set(data, "analysis.noise_window_ns", 1.0e-300)
     out = tmp_path / "out"
     rc = cli.main([cmd, "--trials", "20000", "--config",
                    _write(tmp_path, data), "--out", str(out)])
     assert rc == 3
-    assert capsys.readouterr().err.startswith(
-        "runtime error: metrics.json: snr is not finite")
+    assert capsys.readouterr().err.startswith(f"runtime error: {error}")
     assert not out.exists()
 
 
@@ -429,6 +448,7 @@ def test_cli_tomography_zero_duration_is_runtime_error(tmp_path, capsys):
                    "--out", str(tmp_path / "t3")])
     assert rc == 3
     capsys.readouterr()
+    assert not (tmp_path / "t3").exists()
 
 
 def test_cli_warning_exit_code(tmp_path, raw, capsys):
@@ -454,6 +474,15 @@ def test_cli_filter_design(tmp_path):
     assert summary["suppression_db_at_query"] == pytest.approx(113.8, abs=1.0)
     header = (out / "filter.csv").read_text().splitlines()[0]
     assert header == "detuning_ghz,suppression_db,transmission"
+
+
+def test_cli_filter_design_query_near_resonance_is_positive_zero(tmp_path):
+    out = tmp_path / "filt"
+    assert cli.main(["filter-design", "--points", "3", "--query-ghz=-1e-9",
+                     "--out", str(out)]) == 0
+    text = (out / "filter.json").read_text()
+    assert '"suppression_db_at_query": 0.0' in text
+    assert json.loads(text)["suppression_db_at_query"] == 0.0
 
 
 def test_cli_utility(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vapornode import optics
+from vapornode.config import load_config
 
 
 def _cavity(fwhm_ghz=1.55, fsr_ghz=60.2):
@@ -62,6 +63,14 @@ def test_cascade_suppression_114db():
     db = optics.cascade_suppression_db(_cascade(), 6.8347e9)
     assert db == pytest.approx(113.8, abs=1.0)
     assert optics.cascade_suppression_db(_cascade(), 0.0) == pytest.approx(0.0)
+
+
+def test_cascade_suppression_positive_zero_near_resonance():
+    # every stage transmits exactly 1 a hertz off resonance: the sum is +0.0
+    cascade = load_config().filter_cascade
+    assert math.copysign(1.0, optics.cascade_suppression_db(cascade, -1.0)) == 1.0
+    db = optics.cascade_suppression_db(cascade, np.array([-1.0, 0.0, 1.0]))
+    assert (np.copysign(1.0, db) == 1.0).all()
 
 
 def test_cascade_suppression_additive():

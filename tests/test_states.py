@@ -71,6 +71,16 @@ def test_fidelity_from_snr_values():
         states.fidelity_from_snr(-0.1)
 
 
+def test_fidelity_from_snr_array():
+    snr = np.array([0.0, 0.3, 1.0, 9.8, 31.0, math.inf])
+    f = states.fidelity_from_snr(snr)
+    assert f.tolist() == [states.fidelity_from_snr(float(x)) for x in snr]
+    assert isinstance(states.fidelity_from_snr(9.8), float)
+    for bad in ([1.0, -0.1], np.array([[2.0], [-1e-300]])):
+        with pytest.raises(ValueError, match="snr must be >= 0"):
+            states.fidelity_from_snr(bad)
+
+
 def test_snr_werner_roundtrip():
     assert states.snr_from_werner_a(1.0 / 3.0) == pytest.approx(1.0, abs=1e-12)
     assert states.fidelity_from_snr(1.0) == pytest.approx(0.5, abs=1e-12)
