@@ -73,7 +73,6 @@ def centered_window(hist: Histogram, width_s, noise_start_s: float,
 class SnrResult:
     snr: float
     signal_counts: float  # noise-subtracted counts in the signal window
-    noise_rate_per_s: float  # accumulated counts per second of trial time
     lower_bound: bool = False  # True when the noise window was empty
 
 
@@ -94,7 +93,6 @@ def extract_snr(hist: Histogram, window: WindowSpec) -> SnrResult:
     return SnrResult(
         snr=signal / expected_noise,
         signal_counts=signal,
-        noise_rate_per_s=noise_rate,
         lower_bound=noise_counts == 0,
     )
 

@@ -51,7 +51,6 @@ class AnalysisParams:
     noise_window_start_s: float
     noise_window_s: float
     full_signal_halfwidth_s: float
-    tomography_window_s: float
     sweep_windows_s: tuple
 
     def __post_init__(self):
@@ -60,7 +59,7 @@ class AnalysisParams:
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
         for name in ("signal_window_s", "noise_window_s",
-                     "full_signal_halfwidth_s", "tomography_window_s"):
+                     "full_signal_halfwidth_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if not self.sweep_windows_s or any(w <= 0 for w in self.sweep_windows_s):
@@ -204,7 +203,7 @@ def parse_config(data: dict) -> NodeConfig:
             memory=MemoryParams(
                 **mem.fields("eta0_internal source_efficiency_ratio "
                              "tau_coherence_us retrieval_delay_ns "
-                             "noise_per_trial filter_transmission"),
+                             "noise_per_trial"),
                 retrieved_pulse=PulseMixture(**mem.section(
                     "retrieved_pulse").fields(
                     "core_fwhm_ns pedestal_fwhm_ns core_fraction"))),
@@ -218,8 +217,7 @@ def parse_config(data: dict) -> NodeConfig:
             analysis=AnalysisParams(**root.section("analysis").fields(
                 "qst_transmission vv_fraction signal_window_ns "
                 "noise_window_start_ns noise_window_ns "
-                "full_signal_halfwidth_ns tomography_window_ns "
-                "sweep_windows_ns:list")),
+                "full_signal_halfwidth_ns sweep_windows_ns:list")),
             filter_cascade=FilterCascade(
                 stages=tuple((CavitySpec(**s.fields("fwhm_ghz fsr_ghz")),
                               s.fields("passes:int")["passes"])

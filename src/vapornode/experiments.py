@@ -92,7 +92,7 @@ def _metrics(config: NodeConfig, mode: str, runs: ConditionRuns) -> NodeMetrics:
     if mode == "solo":
         nbar = analysis.mean_photon_number(
             runs.input,
-            config.memory.filter_transmission * a.qst_transmission,
+            config.filter_cascade.broadband_transmission * a.qst_transmission,
             config.detector_nir.efficiency,
         )
         metrics.mean_photon_number = nbar
@@ -145,7 +145,6 @@ class StorageScan:
     fidelities: np.ndarray
     efficiency_fit: analysis.ExponentialFit
     utility: analysis.UtilityTime
-    tomography_converged: bool
 
 
 def storage_time_scan(
@@ -165,7 +164,6 @@ def storage_time_scan(
     if delays.size < 3:
         raise ValueError("need at least 3 storage delays")
     effs, fids = [], []
-    converged = True
     for d in delays:
         mem = simulate.run_source(config, "memory", n_trials, extra_storage_s=d)
         inp = simulate.run_source(config, "input", n_trials, extra_storage_s=d)
@@ -175,7 +173,6 @@ def storage_time_scan(
             extra_storage_s=d,
         )
         result = tomography.mle_tomography(counts.counts, counts.settings)
-        converged = converged and result.converged
         fids.append(result.fidelity_to_target)
     effs = np.asarray(effs)
     fids = np.asarray(fids)
@@ -187,7 +184,6 @@ def storage_time_scan(
         fidelities=fids,
         efficiency_fit=fit,
         utility=utility,
-        tomography_converged=converged,
     )
 
 

@@ -56,12 +56,10 @@ class MemoryParams:
     retrieval_delay_s: float
     noise_per_trial: float  # noise probability per trial over the control-on span
     retrieved_pulse: PulseMixture
-    filter_transmission: float
 
     def __post_init__(self):
         _check_fraction("eta0_internal", self.eta0_internal)
         _check_fraction("source_efficiency_ratio", self.source_efficiency_ratio)
-        _check_fraction("filter_transmission", self.filter_transmission)
         if self.tau_coherence_s <= 0:
             raise ValueError("tau_coherence must be > 0")
         if not 0.0 <= self.noise_per_trial <= 1e-2:

@@ -208,11 +208,13 @@ def window_capture(config: NodeConfig, window_s: float) -> float:
 
 
 def _link_budget(config: NodeConfig, amp: float, eta: float) -> float:
-    """Detection chain amp * eta * T_filter * T_qst * eta_det."""
+    """Detection chain amp * eta * T_filter * T_qst * eta_det.  T_filter is
+    the cascade's broadband transmission: its transmission at the signal
+    frequency, where every stage transmits 1."""
     return (
         amp
         * eta
-        * config.memory.filter_transmission
+        * config.filter_cascade.broadband_transmission
         * config.analysis.qst_transmission
         * config.detector_nir.efficiency
     )
@@ -288,7 +290,6 @@ def build_spec(
     retrieve_at = t.retrieve_at_s + extra_storage_s
     # the control-on duration is fixed; it starts at the delayed retrieval
     noise_start, noise_end = retrieve_at, retrieve_at + t.control_on_s
-    frame_end = min(noise_end + 30e-9, t.clock_period_s)
     sigmas, fractions = envelope_components(config)
 
     if condition == "memory":
@@ -315,7 +316,7 @@ def build_spec(
         noise_start_s=noise_start,
         noise_end_s=noise_end,
         frame_origin_s=t.op_off_s,
-        frame_end_s=max(frame_end, noise_end + 10e-9),
+        frame_end_s=noise_end + 30e-9,
         tag_resolution_s=t.tag_resolution_s,
         bin_width_s=t.bin_width_s,
         trial_period_s=m.period_s,
@@ -367,7 +368,7 @@ def run_tomography(
     if settings is None:
         settings = states.tomography_settings()
     rho = states.werner_state(config.source.werner_a)
-    w = config.analysis.tomography_window_s
+    w = config.analysis.signal_window_s
     p_chain = detected_signal_probability(config, "source", extra_storage_s)
     p_window = p_chain * window_capture(config, w)
     p_noise = noise_rate_hz(config) * w

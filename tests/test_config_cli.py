@@ -81,6 +81,8 @@ _UNKNOWN_KEYS = {
     "analysis.measured_filter_bandwidth_mhz_2pi": 182.0,
     "source.telecom_cavity.center_detuning_ghz": 1.1,
     "detectors.nir.jitter_convention": "fwhm",
+    "memory.filter_transmission": 0.35,
+    "analysis.tomography_window_ns": 2.82,
 }
 
 

@@ -61,8 +61,8 @@ def test_end_to_end_probability(cfg):
     # 0.20 * 0.052 * 0.35 * 0.90 * 0.65
     assert p == pytest.approx(2.13e-3, rel=0.05)
     factors = (cfg.source.heralding_eta, cfg.memory.eta0_source,
-               cfg.memory.filter_transmission, cfg.analysis.qst_transmission,
-               cfg.detector_nir.efficiency)
+               cfg.filter_cascade.broadband_transmission,
+               cfg.analysis.qst_transmission, cfg.detector_nir.efficiency)
     assert p <= min(factors)
     # the pass-through chain is the same budget without the memory
     assert simulate.passthrough_probability(cfg, "source") == pytest.approx(
@@ -102,5 +102,4 @@ def test_memory_params_invariants(cfg):
             retrieval_delay_s=mem.retrieval_delay_s,
             noise_per_trial=0.5,  # above the modeled regime
             retrieved_pulse=mem.retrieved_pulse,
-            filter_transmission=mem.filter_transmission,
         )

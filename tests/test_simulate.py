@@ -75,8 +75,8 @@ def test_no_input_noiseless_is_empty(cfg):
 def test_lossless_source_one_detection_per_trial(cfg):
     raw = dict(cfg.raw)
     raw_mem = {**raw["memory"], "eta0_internal": 1.0,
-               "source_efficiency_ratio": 1.0, "noise_per_trial": 0.0,
-               "filter_transmission": 1.0}
+               "source_efficiency_ratio": 1.0, "noise_per_trial": 0.0}
+    raw_fc = {**raw["filter_cascade"], "broadband_transmission": 1.0}
     raw_src = {**raw["source"], "heralding_eta": 1.0}
     raw_an = {**raw["analysis"], "qst_transmission": 1.0}
     raw_det = {**raw["detectors"],
@@ -84,7 +84,7 @@ def test_lossless_source_one_detection_per_trial(cfg):
                        "jitter_ps": 0.0}}
     lossless = load_config(overrides={
         "memory": raw_mem, "source": raw_src, "analysis": raw_an,
-        "detectors": raw_det,
+        "detectors": raw_det, "filter_cascade": raw_fc,
     })
     n = 30_000
     h = simulate.run_source(lossless, "memory", n)
@@ -168,6 +168,16 @@ def test_time_quantization_and_frame(cfg):
     # tags are integers in units of the 1-ps tag resolution by construction
     assert tags.dtype == np.int64
     assert spec.frame_end_s <= cfg.timing.clock_period_s
+
+
+@pytest.mark.parametrize("mode", ["solo", "source"])
+def test_frame_ends_30ns_after_noise_span(cfg, mode):
+    # at a 2.5 us delay the noise span ends past the 2 us clock period; the
+    # frame still ends 30 ns after it, in the clocked mode too
+    for cond in simulate.CONDITIONS:
+        spec = simulate.build_spec(cfg, mode, cond, extra_storage_s=2.5e-6)
+        assert spec.noise_end_s > cfg.timing.clock_period_s
+        assert spec.frame_end_s == spec.noise_end_s + 30e-9
 
 
 @pytest.mark.parametrize("seeds", [(-5, -6), (2**63, 2**63 + 1)])

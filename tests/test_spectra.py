@@ -207,7 +207,7 @@ def test_heralding_matches_uncached_reference(cfg):
 
 
 def test_heralding_array_names_first_infeasible_detuning(cfg):
-    # a 1 kHz cavity: 0 and 1.1 GHz sit on telecom grid points, the other
+    # a 1 mHz cavity: 0 and 1.1 GHz sit on telecom grid points, the other
     # two pass almost nothing
     cav = CavitySpec(1e-3, 15.2e9)
     d = np.array([0.0, 0.7251e9, -0.3333e9, 1.1e9])
@@ -326,7 +326,7 @@ def test_batched_scores_match_per_candidate_reference(cfg, band_hz):
 
 
 def test_selection_skips_candidates_below_floor(cfg):
-    # a 1 kHz cavity passes almost nothing between the telecom grid points
+    # a 1 mHz cavity passes almost nothing between the telecom grid points
     model, mem = cfg.spectral_model, cfg.memory_acceptance
     cav = CavitySpec(1e-3, 15.2e9)
     _, _, feasible = spectra._herald(model, cav,
