@@ -171,20 +171,6 @@ def run_condition(
     )
 
 
-def run_events(spec: RunSpec, seed: int, condition_id: int, n_trials: int):
-    """Event-level output: (trial_index, timestamp in tag units) arrays,
-    ordered by trial index (stable, so a trial's events keep their draw
-    order).  Binning needs no order, so only this path sorts."""
-    all_tags, all_idx = [], []
-    for b, n in _blocks(n_trials):
-        tags, idx, _ = _simulate_block(spec, seed, condition_id, b, n)
-        all_tags.append(tags)
-        all_idx.append(idx)
-    idx, tags = np.concatenate(all_idx), np.concatenate(all_tags)
-    order = np.argsort(idx, kind="stable")
-    return idx[order], tags[order]
-
-
 def envelope_components(config: NodeConfig):
     """(sigmas, fractions) of the retrieved-photon timing mixture."""
     pulse = config.memory.retrieved_pulse

@@ -24,8 +24,6 @@ _HERALD_BAND_HZ = 8e9
 _HERALD_GRID = 4001
 _PASSES = 2
 _SCAN_POINTS = 701  # operating-point candidates
-# candidates integrated per pass: 4 x 4001 doubles is 128 KB per temporary
-_HERALD_CHUNK = 4
 
 
 def _as_tuples(obj, *names):
@@ -122,14 +120,19 @@ def telecom_spectrum(model: JointSpectralModel, detuning_hz):
 @functools.lru_cache(maxsize=16)
 def _herald_grid(model: JointSpectralModel):
     """Everything in the heralding integrals that does not depend on the
-    cavity: (nu, s_tel(nu), integral of s_tel, NIR survival at the paired
-    detuning).  The arrays are shared between calls, so read-only."""
+    cavity: (nu, s_tel * w, integral of s_tel, s_tel * surv * w), w the
+    trapezoid weights of the telecom grid nu and surv the NIR survival at
+    the paired detuning.  The arrays are shared between calls, so
+    read-only."""
     nu = np.linspace(-_HERALD_BAND_HZ / 2.0, _HERALD_BAND_HZ / 2.0, _HERALD_GRID)
     s = telecom_spectrum(model, nu)
-    surv = model.nir_survival(model.paired_nir_detuning(nu))
-    for a in (nu, s, surv):
+    w = np.full(nu.size, nu[1] - nu[0])
+    w[[0, -1]] /= 2.0
+    s_w = s * w
+    s_surv_w = s_w * model.nir_survival(model.paired_nir_detuning(nu))
+    for a in (nu, s_w, s_surv_w):
         a.flags.writeable = False
-    return nu, s, float(np.trapezoid(s, nu)), surv
+    return nu, s_w, float(np.trapezoid(s, nu)), s_surv_w
 
 
 def _herald(model: JointSpectralModel, cavity: CavitySpec, detunings):
@@ -138,19 +141,39 @@ def _herald(model: JointSpectralModel, cavity: CavitySpec, detunings):
     rate = integral of T_cav(nu - d_c)^passes s_tel(nu) over the heralding
     band; the efficiency weights the same integrand with the survival of the
     paired NIR photon.  A detuning is feasible where its rate is above the
-    numeric floor; elsewhere eta is nan.  The detunings are integrated
-    _HERALD_CHUNK rows at a time, which keeps each temporary small enough
-    for the cache and the peak memory flat in the number of candidates,
-    with every row's arithmetic that of a single detuning.
+    numeric floor; elsewhere eta is nan.
+
+    The integrals are a lattice correlation: with d = m * step + f on the
+    telecom grid, T_cav(nu_j - d) = K(j - m), K(q) = T_cav((q - c) * step -
+    f)^passes and c the grid's centre index.  Rows of one f whose m fall by
+    a fixed stride share one kernel, and two matrix-vector products of its
+    strided windows with the weighted columns integrate them, no window
+    copied.  An off-lattice detuning is a run of one row.
     """
-    nu, s, s_total, surv = _herald_grid(model)
+    nu, s_w, s_total, s_surv_w = _herald_grid(model)
+    n, step = nu.size, nu[1] - nu[0]
     d = np.asarray(detunings, dtype=float)
+    m = np.rint(d / step)
+    m[~(np.abs(m) < 2.0**52)] = 0.0  # f = d where m is not a finite integer
+    f = d - m * step
+    runs, ml, fl = [], m.tolist(), f.tolist()
+    for i in np.lexsort((-m, f)).tolist():  # by f, then by m falling
+        run = runs[-1] if runs else [i]
+        gap = ml[run[-1]] - ml[i]
+        if fl[i] == fl[run[-1]] and 0 < gap <= n and (
+                len(run) == 1 or gap == ml[run[-2]] - ml[run[-1]]):
+            run.append(i)
+        else:
+            runs.append([i])
     rate, weighted = np.empty(d.size), np.empty(d.size)
-    for i in range(0, d.size, _HERALD_CHUNK):
-        rows = slice(i, i + _HERALD_CHUNK)
-        ts = cavity_transmission(cavity, nu - d[rows, None]) ** _PASSES * s
-        rate[rows] = np.trapezoid(ts, nu, axis=-1)
-        weighted[rows] = np.trapezoid(ts * surv, nu, axis=-1)
+    for run in runs:
+        stride = int(ml[run[0]] - ml[run[1]]) if len(run) > 1 else 1
+        q = np.arange(n + (len(run) - 1) * stride) - (n // 2 + ml[run[0]])
+        kernel = cavity_transmission(cavity, q * step - fl[run[0]]) ** _PASSES
+        # row k of the run is the kernel from k * stride on, not copied
+        windows = np.ndarray((len(run), n), buffer=kernel, strides=(8 * stride, 8))
+        rate[run] = windows @ s_w
+        weighted[run] = windows @ s_surv_w
     # a nan rate is not below the floor: it passes on to be reported as a
     # non-finite output
     feasible = ~(rate <= 1e-30 * s_total)
@@ -158,18 +181,14 @@ def _herald(model: JointSpectralModel, cavity: CavitySpec, detunings):
     return np.clip(eta, 0.0, 1.0), rate, feasible
 
 
-def heralding_vs_cavity_detuning(
-    model: JointSpectralModel,
-    cavity: CavitySpec,
-    cavity_detuning_hz,
-):
+def heralding_vs_cavity_detuning(model: JointSpectralModel, cavity: CavitySpec,
+                                 cavity_detuning_hz):
     """(heralding efficiency, relative rate) for a scalar or a 1-D array of
-    cavity positions: floats for a scalar, arrays for an array, all from
-    one call of the chunked integrals in _herald, so a scalar is the
-    one-row case of an array.  Only the cavity factor is computed per call;
-    the rest is built once per model.  Raises ValueError naming the first
-    detuning, in input order, whose rate is below the numeric floor.
-    """
+    cavity positions: floats for a scalar, arrays for an array, from one
+    call of the lattice correlation in _herald, where a scalar is a run of
+    one row (equal to an array's entry to round-off).  Only the cavity
+    kernels are built per call.  Raises ValueError naming the first
+    detuning, in input order, whose rate is below the numeric floor."""
     d = np.asarray(cavity_detuning_hz, dtype=float)
     eta, rate, feasible = _herald(model, cavity, d.reshape(-1))
     if not feasible.all():
@@ -225,10 +244,8 @@ class MemoryAcceptanceModel:
 def _acceptance_peak(model: MemoryAcceptanceModel):
     """Peak of the raw response over the band spanning both hyperfine
     lines, on an 8001-point grid; computed once per model."""
-    span = 6.0 * (
-        abs(model.hyperfine_centers_hz[1] - model.hyperfine_centers_hz[0])
-        + model.linewidth_hz
-    )
+    c1, c2 = model.hyperfine_centers_hz
+    span = 6.0 * (abs(c2 - c1) + model.linewidth_hz)
     grid = np.linspace(-span, span, 8001)
     return model.raw_response(grid).max()
 
@@ -240,22 +257,18 @@ def memory_efficiency_vs_detuning(model: MemoryAcceptanceModel, detuning_hz):
     return out if np.ndim(detuning_hz) else float(out)
 
 
-def select_operating_point(
-    model: JointSpectralModel,
-    cavity: CavitySpec,
-    memory_model: MemoryAcceptanceModel,
-    scan_band_hz: float = 7e9,
-) -> float:
+def select_operating_point(model: JointSpectralModel, cavity: CavitySpec,
+                           memory_model: MemoryAcceptanceModel,
+                           scan_band_hz: float = 7e9) -> float:
     """Cavity detuning maximizing operating_point_score over the scanned
     band.  Ties break toward smaller |detuning|; candidates whose rate is
     below the numeric floor are skipped.  All candidates are scored in one
-    call of _herald, which integrates them in fixed chunks of rows sized
-    for the cache and for a flat peak memory, and one acceptance call."""
+    call of _herald and one acceptance call; candidates on the telecom
+    grid's lattice (the 7 GHz default, 10 MHz apart) share one kernel."""
     candidates = np.linspace(-scan_band_hz / 2.0, scan_band_hz / 2.0, _SCAN_POINTS)
     eta, rate, feasible = _herald(model, cavity, candidates)
-    mem = memory_efficiency_vs_detuning(
-        memory_model, model.paired_nir_detuning(candidates)
-    )
+    mem = memory_efficiency_vs_detuning(memory_model,
+                                        model.paired_nir_detuning(candidates))
     scores = eta * rate * mem
     best = None
     for i in sorted(np.flatnonzero(feasible), key=lambda i: abs(candidates[i])):
@@ -270,6 +283,5 @@ def operating_point_score(model, cavity, memory_model, cavity_detuning_hz) -> fl
     """eta * rate * memory acceptance at the paired NIR detuning."""
     eta, rate = heralding_vs_cavity_detuning(model, cavity, cavity_detuning_hz)
     mem = memory_efficiency_vs_detuning(
-        memory_model, model.paired_nir_detuning(cavity_detuning_hz)
-    )
+        memory_model, model.paired_nir_detuning(cavity_detuning_hz))
     return eta * rate * mem

@@ -12,7 +12,9 @@ repository root with
 
     PYTHONPATH=src python tests/golden.py --regen
 
-and list each rewritten file, with the reason, in CHANGES.md.
+and list each rewritten file, with the reason, in CHANGES.md.  For each
+JSON file the regenerator prints the largest relative change of any number
+in it, so a round-off move is measured, not estimated.
 """
 
 from __future__ import annotations
@@ -74,6 +76,27 @@ def mismatch(want: Path, got: Path) -> str | None:
     return None
 
 
+def _numbers(value):
+    """The numbers of a parsed JSON value, in document order."""
+    if isinstance(value, dict):
+        return [x for k in sorted(value) for x in _numbers(value[k])]
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return [value] if is_number else []
+
+
+def largest_relative_change(old, new) -> float:
+    """Largest |new - old| / |old| over the numbers of two parsed JSON
+    values of the same shape (inf where a zero moved); nan if the shapes
+    differ."""
+    a, b = _numbers(old), _numbers(new)
+    if len(a) != len(b):
+        return float("nan")
+    return max((0.0 if x == y else abs(y - x) / abs(x) if x else float("inf")
+                for x, y in zip(a, b)), default=0.0)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--regen", action="store_true",
@@ -83,9 +106,15 @@ def main() -> None:
                      "tests/test_golden.py")
     for command in COMMANDS:
         out = GOLDEN_DIR / command
+        old = {p.name: json.loads(p.read_text()) for p in out.glob("*.json")}
         shutil.rmtree(out, ignore_errors=True)
         run(command, out)
         print(f"wrote {out}")
+        for path in sorted(out.glob("*.json")):
+            if path.name in old:
+                change = largest_relative_change(old[path.name],
+                                                 json.loads(path.read_text()))
+                print(f"  {path.name}: largest relative change {change:.3g}")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """The seven README commands write the files committed under tests/golden/,
 byte for byte (see tests/golden.py)."""
 
+import math
+
 import golden
 import pytest
 
@@ -27,3 +29,13 @@ def test_mismatch_names_file_and_first_differing_line(tmp_path):
     (got / "extra.csv").write_text("")
     assert "files" in golden.mismatch(want, got)
     assert golden.mismatch(want, want) is None
+
+
+def test_largest_relative_change_reads_every_number():
+    old = {"a": 2.0, "b": [1, 4.0], "c": {"d": True, "e": "x"}}
+    assert golden.largest_relative_change(old, old) == 0.0
+    new = {"a": 2.0, "b": [1, 4.000004], "c": {"d": False, "e": "y"}}
+    assert golden.largest_relative_change(old, new) == pytest.approx(1e-6)
+    assert golden.largest_relative_change({"a": 0}, {"a": 1e-300}) == (
+        float("inf"))
+    assert math.isnan(golden.largest_relative_change(old, {"a": 2.0}))

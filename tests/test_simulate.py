@@ -17,6 +17,20 @@ def cfg():
     return load_config()
 
 
+def run_events(spec, seed, condition_id, n_trials):
+    """The reference the binned histograms are checked against: every
+    block's events as (trial index, timestamp in tag units) arrays, ordered
+    by trial index (stable, so a trial's events keep their draw order)."""
+    all_tags, all_idx = [], []
+    for b, n in simulate._blocks(n_trials):
+        tags, idx, _ = simulate._simulate_block(spec, seed, condition_id, b, n)
+        all_tags.append(tags)
+        all_idx.append(idx)
+    idx, tags = np.concatenate(all_idx), np.concatenate(all_tags)
+    order = np.argsort(idx, kind="stable")
+    return idx[order], tags[order]
+
+
 def test_histogram_invariants():
     with pytest.raises(ValueError):
         Histogram(256e-12, np.array([1, -2]), 0.0)
@@ -48,7 +62,7 @@ def test_histogram_merge_commutative(cfg):
     assert np.array_equal(h.counts, counts)
     assert h.duration_accumulated_s == pytest.approx(duration, rel=1e-12)
     assert h.n_trials == n
-    _, tags = simulate.run_events(spec, cfg.seed, 0, n)
+    _, tags = run_events(spec, cfg.seed, 0, n)
     assert np.array_equal(simulate._bin_tags(spec, tags), h.counts)
 
 
@@ -161,7 +175,7 @@ def test_seed_changes_output(cfg):
 
 def test_time_quantization_and_frame(cfg):
     spec = simulate.build_spec(cfg, "solo", "memory")
-    idx, tags = simulate.run_events(spec, cfg.seed, 0, 50_000)
+    idx, tags = run_events(spec, cfg.seed, 0, 50_000)
     t = tags * spec.tag_resolution_s
     assert (t >= spec.frame_origin_s).all()
     assert (t < spec.frame_end_s).all()
@@ -233,7 +247,7 @@ def test_histogram_matches_event_binning(cfg):
     spec = simulate.build_spec(cfg, "solo", "memory")
     n = 80_000
     h = simulate.run_condition(spec, cfg.seed, 0, n)
-    idx, tags = simulate.run_events(spec, cfg.seed, 0, n)
+    idx, tags = run_events(spec, cfg.seed, 0, n)
     assert h.total() == tags.size
     t = tags * spec.tag_resolution_s - spec.frame_origin_s
     binned = np.bincount((t / spec.bin_width_s).astype(np.int64),
@@ -249,7 +263,7 @@ def test_signal_trials_distinct_within_block(cfg):
     spec = dataclasses.replace(simulate.build_spec(cfg, "solo", "memory"),
                                p_signal=0.5, noise_lambda=0.0)
     n = 2 * simulate.BLOCK_SIZE + 1000
-    idx, _ = simulate.run_events(spec, cfg.seed, 0, n)
+    idx, _ = run_events(spec, cfg.seed, 0, n)
     assert np.unique(idx).size == idx.size
     assert idx.min() >= 0 and idx.max() < n
     # the frame holds the whole pulse, so the count is Binomial(n, 0.5)

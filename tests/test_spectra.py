@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,7 +191,9 @@ def test_operating_point_near_expected(cfg):
 
 def _heralding_reference(model, cavity, dc):
     """The heralding integrals computed inline, with no shared grid: an
-    8 GHz band on 4001 points, double-passed."""
+    8 GHz band on 4001 points, double-passed, summed by np.trapezoid.  The
+    package sums the same products as a lattice correlation, in another
+    order, so the two agree to round-off (about 1e-14), not bit for bit."""
     nu = np.linspace(-4e9, 4e9, 4001)
     t = cavity_transmission(cavity, nu - dc) ** 2
     s = spectra.telecom_spectrum(model, nu)
@@ -202,8 +208,28 @@ def test_heralding_matches_uncached_reference(cfg):
     for _ in range(2):  # the second pass reads the cached grid
         for dc in (-2.3e9, 0.0, 0.92e9, 1.1e9):
             got = spectra.heralding_vs_cavity_detuning(model, cav, dc)
-            assert got == _heralding_reference(model, cav, dc)
+            assert got == pytest.approx(_heralding_reference(model, cav, dc),
+                                        rel=1e-12)
             assert all(type(v) is float for v in got)
+
+
+@pytest.mark.parametrize("detunings", [
+    np.linspace(-3.5e9, 3.5e9, 141),  # on the 2 MHz grid's lattice: one kernel
+    np.linspace(-1.5e9, 1.5e9, 141),  # off it: a kernel per row
+    # lattice runs that break (strides of 50, 10 and 460 MHz, a repeat)
+    # and off-lattice rows sorted next to them, in no order
+    np.array([1.1e9, 0.92e9, -2.3e9, 0.92e9, 0.93e9, 0.95e9, 0.5e9 + 0.3,
+              1e9, 1.2e9, 0.0, 1.5e9 - 0.3]),
+])
+def test_heralding_scalar_matches_array_entry(cfg, detunings):
+    # a scalar is a run of one row, whatever runs its array splits into
+    model, cav = cfg.spectral_model, cfg.source.telecom_cavity
+    eta, rate = spectra.heralding_vs_cavity_detuning(model, cav, detunings)
+    for i, dc in enumerate(detunings):
+        got = spectra.heralding_vs_cavity_detuning(model, cav, dc)
+        assert got == pytest.approx((eta[i], rate[i]), rel=1e-12)
+        assert got == pytest.approx(_heralding_reference(model, cav, dc),
+                                    rel=1e-12)
 
 
 def test_heralding_array_names_first_infeasible_detuning(cfg):
@@ -219,8 +245,8 @@ def test_heralding_array_names_first_infeasible_detuning(cfg):
 
 
 def test_cached_grids_read_only(cfg):
-    nu, s, _, surv = spectra._herald_grid(cfg.spectral_model)
-    for a in (nu, s, surv):
+    nu, s_w, _, s_surv_w = spectra._herald_grid(cfg.spectral_model)
+    for a in (nu, s_w, s_surv_w):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 1.0
@@ -234,7 +260,8 @@ def test_cache_tells_models_apart(cfg):
     assert other != base
     for model in (base, other, base):
         got = spectra.heralding_vs_cavity_detuning(model, cav, 0.5e9)
-        assert got == _heralding_reference(model, cav, 0.5e9)
+        assert got == pytest.approx(_heralding_reference(model, cav, 0.5e9),
+                                    rel=1e-12)
     assert spectra.heralding_vs_cavity_detuning(base, cav, 0.5e9) != (
         spectra.heralding_vs_cavity_detuning(other, cav, 0.5e9)
     )
@@ -320,7 +347,8 @@ def test_batched_scores_match_per_candidate_reference(cfg, band_hz):
     candidates = np.linspace(-band_hz / 2.0, band_hz / 2.0, 701)
     eta, rate = spectra.heralding_vs_cavity_detuning(model, cav, candidates)
     for i, dc in enumerate(candidates):
-        assert (eta[i], rate[i]) == _heralding_reference(model, cav, dc)
+        assert (eta[i], rate[i]) == pytest.approx(
+            _heralding_reference(model, cav, dc), rel=1e-12)
     assert spectra.select_operating_point(model, cav, mem, band_hz) == (
         _select_reference(model, cav, mem, band_hz))
 
@@ -346,6 +374,27 @@ def test_selection_raises_with_no_feasible_candidate(cfg):
         with pytest.raises(ValueError, match="no feasible operating point"):
             select(model, cav, mem, 3.0001e9)
 
+
+
+def test_operating_point_scan_keeps_peak_memory_flat():
+    # a BLAS gemm buffer or a gathered copy of the windows raises the peak
+    # RSS by over 20 MB, and tracemalloc sees neither: measure ru_maxrss
+    # (KiB on Linux) in a fresh process across one 7 GHz scan
+    code = (
+        "import resource\n"
+        "from vapornode import spectra\n"
+        "from vapornode.config import load_config\n"
+        "cfg = load_config()\n"
+        "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = peak()\n"
+        "spectra.select_operating_point(cfg.spectral_model,\n"
+        "    cfg.source.telecom_cavity, cfg.memory_acceptance, 7e9)\n"
+        "print(peak() - before)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True)
+    assert int(res.stdout) < 8 * 1024
 
 
 def test_selection_ties_break_toward_zero(cfg):
