@@ -53,29 +53,39 @@ def cavity_transmission(cavity: CavitySpec, detuning_hz: float):
     """Single-pass intensity transmission T = 1 / (1 + (2 d'/fwhm)^2).
 
     The detuning is wrapped to within fsr/2 of a resonance, exactly at any
-    finite detuning (fmod is exact).  Accepts scalars or arrays.
+    finite detuning (fmod is exact).  A scalar runs as a Python float, at a
+    fraction of a numpy scalar's cost, and the square is a product, which
+    rounds alike for floats and arrays: a scalar gives its array entry's bits.
     """
-    # [()] turns a 0-d array into a scalar, whose arithmetic is faster
-    d = np.asarray(detuning_hz, dtype=float)[()]
-    # fmod is slow on arrays; skip it where it changes nothing
-    if np.abs(d).max(initial=0.0) >= cavity.fsr_hz:
+    d = np.asarray(detuning_hz, dtype=float)
+    scalar = not d.ndim
+    d, big = (float(d), abs(float(d))) if scalar else (d, np.abs(d).max(initial=0.0))
+    # each wrap step leaves |d| below its bound as it is: fmod exactly, and
+    # round(d / fsr) is +-0 below fsr/2; a nan takes both
+    if not big < cavity.fsr_hz:
         d = np.fmod(d, cavity.fsr_hz)
-    r = d - cavity.fsr_hz * np.round(d / cavity.fsr_hz)
-    t = 1.0 / (1.0 + (2.0 * r / cavity.fwhm_hz) ** 2)
-    return t if t.ndim else float(t)
+    if not big < 0.5 * cavity.fsr_hz:
+        d = d - cavity.fsr_hz * np.round(d / cavity.fsr_hz)
+    x = 2.0 * d / cavity.fwhm_hz
+    t = 1.0 / (1.0 + x * x)
+    return float(t) if scalar else t
 
 
 def cascade_transmission(cascade: FilterCascade, detuning_hz: float):
-    """Intensity transmission through every pass of every stage."""
+    """Intensity transmission through every pass of every stage.  A
+    stage's passes are a product, not a power: numpy's array power and C
+    pow round differently, a product alike."""
     t = cascade.broadband_transmission
     for cavity, passes in cascade.stages:
-        t = t * cavity_transmission(cavity, detuning_hz) ** passes
+        stage = cavity_transmission(cavity, detuning_hz)
+        t = t * math.prod([stage] * (passes - 1), start=stage)
     return t
 
 
 def cascade_suppression_db(cascade: FilterCascade, detuning_hz: float):
     """Total suppression in dB, summed over all passes (excludes the
-    broadband loss, which is frequency independent)."""
+    broadband loss, which is frequency independent).  Scalars use np.log10
+    too, which rounds as the array loop does; math.log10 does not."""
     db = 0.0  # +0.0, never -0.0; a numpy value after the first stage
     for cavity, passes in cascade.stages:
         db = db - 10.0 * passes * np.log10(cavity_transmission(cavity, detuning_hz))

@@ -12,17 +12,17 @@ detuning d_N = pairing_sum - d_T.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .optics import FWHM_TO_SIGMA, CavitySpec, cavity_transmission
 
-# heralding integrals: telecom band and grid, and a double-passed cavity,
+# heralding integrals: telecom band and grid; the cavity is double-passed,
 # which tames the Lorentzian tails that would wash out the survival structure
 _HERALD_BAND_HZ = 8e9
 _HERALD_GRID = 4001
-_PASSES = 2
 _SCAN_POINTS = 701  # operating-point candidates
 
 
@@ -168,17 +168,20 @@ def _herald(model: JointSpectralModel, cavity: CavitySpec, detunings):
     rate, weighted = np.empty(d.size), np.empty(d.size)
     for run in runs:
         stride = int(ml[run[0]] - ml[run[1]]) if len(run) > 1 else 1
-        q = np.arange(n + (len(run) - 1) * stride) - (n // 2 + ml[run[0]])
-        kernel = cavity_transmission(cavity, q * step - fl[run[0]]) ** _PASSES
+        q = np.arange(n + (len(run) - 1) * stride, dtype=float)
+        q -= n // 2 + ml[run[0]]
+        q *= step
+        q -= fl[run[0]]  # (q - c) * step - f, built in place
+        kernel = cavity_transmission(cavity, q)
+        kernel *= kernel  # the cavity is double-passed
         # row k of the run is the kernel from k * stride on, not copied
         windows = np.ndarray((len(run), n), buffer=kernel, strides=(8 * stride, 8))
         rate[run] = windows @ s_w
         weighted[run] = windows @ s_surv_w
     # a nan rate is not below the floor: it passes on to be reported as a
-    # non-finite output
+    # non-finite output; below the floor eta is weighted / nan, nan
     feasible = ~(rate <= 1e-30 * s_total)
-    eta = np.divide(weighted, rate, out=np.full(d.size, np.nan), where=feasible)
-    return np.clip(eta, 0.0, 1.0), rate, feasible
+    return weighted / np.where(feasible, rate, np.nan), rate, feasible
 
 
 def heralding_vs_cavity_detuning(model: JointSpectralModel, cavity: CavitySpec,
@@ -222,22 +225,28 @@ class MemoryAcceptanceModel:
         Two damped resonances a1/(d-c1) - a2/(d-c2) with the pole damping
         kept only in the denominator; opposite-sign amplitudes interfere
         destructively between the lines, giving an exact dark point at
-        d0 = (a1 c2 - a2 c1) / (a1 - a2).  The squares are written as
-        products, which numpy rounds alike for scalars and arrays, so a
-        scalar detuning gives the same bits as the same entry of an array.
+        d0 = (a1 c2 - a2 c1) / (a1 - a2).  A scalar runs as a Python float,
+        and the squares are products, which round alike for floats and
+        arrays, so a scalar gives the same bits as its entry of an array.
         """
         d = np.asarray(detuning_hz, dtype=float)
+        if not d.ndim:  # a Python float neither warns nor needs np.where
+            return self._response(float(d))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._response(d)
+
+    def _response(self, d):
         g = self.linewidth_hz / 2.0
         c1, c2 = self.hyperfine_centers_hz
         a1, a2 = self.amplitudes
-        with np.errstate(over="ignore", invalid="ignore"):
-            x1, x2 = d - c1, d - c2
-            u = a1 * x2 - a2 * x1
-            num = u.real * u.real + u.imag * u.imag
-            den = (x1 * x1 + g * g) * (x2 * x2 + g * g)
-            # the response falls as 1/d^2: where den overflows it is 0, not
-            # inf/inf
-            return np.where(np.isinf(den), 0.0, num / den)
+        x1, x2 = d - c1, d - c2
+        u = a1 * x2 - a2 * x1
+        num = u.real * u.real + u.imag * u.imag
+        den = (x1 * x1 + g * g) * (x2 * x2 + g * g)
+        # the response falls as 1/d^2: where den overflows it is 0, not inf/inf
+        if isinstance(d, float):
+            return 0.0 if den == math.inf else num / den
+        return np.where(np.isinf(den), 0.0, num / den)
 
 
 @functools.lru_cache(maxsize=64)
@@ -247,14 +256,14 @@ def _acceptance_peak(model: MemoryAcceptanceModel):
     c1, c2 = model.hyperfine_centers_hz
     span = 6.0 * (abs(c2 - c1) + model.linewidth_hz)
     grid = np.linspace(-span, span, 8001)
-    return model.raw_response(grid).max()
+    return float(model.raw_response(grid).max())
 
 
 def memory_efficiency_vs_detuning(model: MemoryAcceptanceModel, detuning_hz):
     """Relative storage efficiency, normalized to unit peak over the band
-    spanning both hyperfine lines."""
-    out = model.raw_response(detuning_hz) / _acceptance_peak(model)
-    return out if np.ndim(detuning_hz) else float(out)
+    spanning both hyperfine lines: a float for a scalar, an array for an
+    array."""
+    return model.raw_response(detuning_hz) / _acceptance_peak(model)
 
 
 def select_operating_point(model: JointSpectralModel, cavity: CavitySpec,

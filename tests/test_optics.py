@@ -116,16 +116,67 @@ def test_cascade_effective_fwhm_pinned():
     assert optics.cascade_effective_fwhm(_cascade()) == 542415957.6038194
 
 
-# the filter-design grid (16 GHz, 321 points), and a grid past the 60.2 GHz
-# FSR, where fmod runs on the whole array but only on some of the scalars
+def _bits(values):
+    """The IEEE-754 bit patterns of values, so == compares bits, the sign
+    of a zero included."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+# the filter-design band (16 GHz) and a band past the 60.2 GHz FSR, where the
+# wrap runs on the whole array but only on some of the scalars; the packaged
+# cascade, and one stage of each pass count, whose powers C pow and numpy's
+# array loop round differently
 @pytest.mark.parametrize("band_hz", [16e9, 200e9])
 def test_cascade_array_matches_scalars(band_hz):
-    cascade = _cascade()
-    d = np.linspace(-band_hz / 2.0, band_hz / 2.0, 321)
-    assert optics.cascade_suppression_db(cascade, d).tolist() == [
-        optics.cascade_suppression_db(cascade, x) for x in d]
-    assert optics.cascade_transmission(cascade, d).tolist() == [
-        optics.cascade_transmission(cascade, x) for x in d]
+    d = np.linspace(-band_hz / 2.0, band_hz / 2.0, 20001)
+    for cascade in (_cascade(), *(optics.FilterCascade(stages=((_cavity(), p),))
+                                  for p in (1, 2, 3, 4, 6))):
+        for f in (optics.cascade_transmission, optics.cascade_suppression_db):
+            assert _bits(f(cascade, d)) == _bits([f(cascade, x) for x in d])
+
+
+_cavities = st.builds(lambda fsr, frac: optics.CavitySpec(frac * fsr, fsr),
+                      st.floats(1e9, 1e11), st.floats(1e-3, 0.9))
+_cascades = st.builds(
+    lambda stages, broadband: optics.FilterCascade(tuple(stages), broadband),
+    st.lists(st.tuples(_cavities, st.integers(1, 6)), min_size=1, max_size=3),
+    st.floats(0.01, 1.0))
+# mostly within a few FSRs, and any double: a nan or an infinity in an array
+# must not keep its other entries from being wrapped
+_detunings = st.lists(st.one_of(st.floats(-5e11, 5e11), st.floats()),
+                      min_size=1, max_size=16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cascades, _detunings)
+def test_cascade_scalar_is_its_array_entry(cascade, detunings):
+    d = np.array(detunings)
+    cavity = cascade.stages[0][0]
+    for f, model in ((optics.cavity_transmission, cavity),
+                     (optics.cascade_transmission, cascade),
+                     (optics.cascade_suppression_db, cascade)):
+        with np.errstate(invalid="ignore"):  # fmod of an infinity
+            scalars = [f(model, x) for x in detunings]
+            entries = f(model, d)
+        assert all(type(v) is float for v in scalars)
+        assert _bits(entries) == _bits(scalars)
+
+
+@pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf, 1e300, -1e300])
+def test_non_finite_scalars_match_array_entries(d):
+    # nan and +-inf give nan, a huge detuning its wrapped value; in an array
+    # beside detunings that need fmod (past 2**53 fsr) and the fsr/2 wrap,
+    # they must not keep those from being wrapped.  fmod of an infinity
+    # sets numpy's invalid flag, for a scalar as for an array
+    cascade, cavity = _cascade(), _cavity()
+    d_all = [d, 5e307, 1e20, 40e9, 0.0]
+    with np.errstate(invalid="ignore"):
+        for f, model in ((optics.cavity_transmission, cavity),
+                         (optics.cascade_transmission, cascade),
+                         (optics.cascade_suppression_db, cascade)):
+            scalars, entries = [f(model, x) for x in d_all], f(model, np.array(d_all))
+            assert math.isfinite(d) == math.isfinite(scalars[0])
+            assert _bits(entries) == _bits(scalars)
 
 
 def test_cascade_fwhm_monotone_in_passes():

@@ -1,11 +1,15 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vapornode import spectra
 from vapornode.config import load_config
@@ -338,6 +342,43 @@ def test_memory_efficiency_scalar_matches_array(cfg):
     batch = spectra.memory_efficiency_vs_detuning(mem, arr)
     for i, d in enumerate(arr):
         assert batch[i] == spectra.memory_efficiency_vs_detuning(mem, d)
+
+
+_acceptance_models = st.builds(
+    lambda c1, gap, a1, a2, width: spectra.MemoryAcceptanceModel(
+        (c1, c1 + gap), (a1, a2), width),
+    st.floats(-1e10, 1e10), st.floats(1e8, 1e10), st.floats(0.1, 2.0),
+    st.floats(-2.0, 2.0), st.floats(1e6, 1e10))
+# mostly near the lines, and any finite double, overflowing ones included
+_detunings = st.lists(st.one_of(st.floats(-5e10, 5e10),
+                                st.floats(allow_nan=False, allow_infinity=False)),
+                      min_size=1, max_size=16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_acceptance_models, _detunings)
+def test_acceptance_scalar_is_its_array_entry(mem, detunings):
+    batch = spectra.memory_efficiency_vs_detuning(mem, np.array(detunings))
+    scalars = [spectra.memory_efficiency_vs_detuning(mem, x) for x in detunings]
+    assert all(type(v) is float for v in scalars)
+    # bit patterns: == on them tells the sign of a zero too
+    assert batch.view(np.uint64).tolist() == (
+        np.array(scalars).view(np.uint64).tolist())
+
+
+@pytest.mark.parametrize("d, expected", [
+    (math.nan, math.nan), (math.inf, 0.0), (-math.inf, 0.0), (1e300, 0.0),
+    (-1e300, 0.0)])
+def test_acceptance_non_finite_scalars_match_array_entries(cfg, d, expected):
+    # past the overflow of the squares the response is 0, a nan stays nan;
+    # neither raises nor warns
+    mem = cfg.memory_acceptance
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = spectra.memory_efficiency_vs_detuning(mem, d)
+        entry = spectra.memory_efficiency_vs_detuning(mem, np.array([0.0, d]))[1]
+    for got in (scalar, entry):
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
 
 
 @pytest.mark.parametrize("band_hz", [3e9, 7e9, 12e9])
